@@ -1,9 +1,12 @@
 """Rademacher and gaussian averages of vector configurations.
 
 Sign averages are exact by enumeration up to ENUM_CAP vectors (the
-global flip symmetry halves the pattern count); beyond that, and for
-gaussian weights always, chunked Monte Carlo with per-chunk seeds
-derived from the master seed keeps results reproducible.
+global flip symmetry halves the pattern count); the enumeration streams
+in row blocks (linmaps.sign_norms), so its peak memory is the
+2^(n-1) x n pattern table plus one block, whatever the dimension.
+Beyond the cap, and for gaussian weights always, chunked Monte Carlo
+with per-chunk seeds derived from the master seed keeps results
+reproducible.
 """
 
 import math
@@ -11,7 +14,7 @@ import math
 import numpy as np
 
 from .estimates import AverageResult
-from .linmaps import ENUM_CAP, sign_patterns
+from .linmaps import ENUM_CAP, sign_norms, sign_patterns
 from .search import child_seeds, multistart_maximize
 
 __all__ = [
@@ -72,7 +75,7 @@ def rademacher_average(config, space, moment=1, samples=100_000, seed=0, enum_ca
     n = config.shape[0]
     if n <= enum_cap:
         signs = sign_patterns(n)
-        vals = _moments(space.norm_rows(signs @ config), moment)
+        vals = _moments(sign_norms(signs, config, space), moment)
         mean = float(np.mean(vals))
         return _finish(mean, 0.0, moment, "exact-enumeration", signs.shape[0], seed)
     return _mc_average(config, space, moment,
@@ -114,7 +117,7 @@ def contraction_check(config, space, budget=16, seed=0):
     if n > ENUM_CAP:
         raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
     signs = sign_patterns(n)
-    vals = space.norm_rows(signs @ config)
+    vals = sign_norms(signs, config, space)
     i = int(np.argmax(vals))
     sup_signs = float(vals[i])
 

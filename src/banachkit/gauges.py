@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimates import GaugeValue
 from .growth import iterated_log, tower_index
-from .linmaps import ENUM_CAP, sign_patterns
+from .linmaps import ENUM_CAP, sign_norms, sign_patterns
 from .search import child_seeds, multistart_maximize
 from .sequences import rearrange
 
@@ -54,11 +54,13 @@ def _gauge_objective(tau, space, kind):
         # rows are only approximately unit after projection; dividing by
         # the smallest row norm keeps the value a certified upper bound
         # (weights tau_k / r_k <= tau_k / r_min, then the contraction
-        # principle), and makes exactly-normalized witnesses exact
-        r_min = min(space.norm(row) for row in config)
+        # principle), and makes exactly-normalized witnesses exact; the
+        # row norms come from the same oracle as the numerator, so a
+        # single unit vector scores exactly 1
+        r_min = float(np.min(space.norm_rows(config)))
         if r_min == 0.0:
             return math.inf
-        return float(reduce(space.norm_rows(weighted @ config))) / r_min
+        return float(reduce(sign_norms(weighted, config, space))) / r_min
 
     return value
 

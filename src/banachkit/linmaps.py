@@ -4,6 +4,11 @@ Operator norms are exact where a closed form exists (Euclidean to
 Euclidean, out of l_1, into l_inf, out of a small l_inf cube) and are
 otherwise reported as witnessed lower bounds with a companion upper
 bound from Euclidean comparison constants.
+
+Every sign enumeration of the package goes through sign_norms, which
+streams the product of a pattern table and a configuration in row
+blocks of at most SIGN_BLOCK entries: peak memory is the 2^(n-1) x n
+table plus one block, whatever the dimension.
 """
 
 import math
@@ -14,10 +19,13 @@ from .estimates import Estimate, EXACT, LOWER
 from .search import multistart_maximize
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "dual_norm",
-           "weak_lq_functional", "ENUM_CAP"]
+           "weak_lq_functional", "ENUM_CAP", "sign_norms"]
 
 #: sign patterns are enumerated exactly up to this many vectors
 ENUM_CAP = 20
+
+#: entries of signs @ config that sign_norms holds at once
+SIGN_BLOCK = 1 << 18
 
 
 def sign_patterns(n):
@@ -32,6 +40,24 @@ def sign_patterns(n):
         block = 2 ** (n - 1 - j)
         pattern = np.repeat(np.array([1.0, -1.0]), block)
         out[:, j] = np.tile(pattern, m // (2 * block))
+    return out
+
+
+def sign_norms(signs, config, space):
+    """space.norm_rows(signs @ config), computed in row blocks.
+
+    Each block of the product holds at most SIGN_BLOCK entries, so the
+    temporaries stay the same size whatever the dimension. The rows per
+    block are a power of two, which splits a sign_patterns table into
+    equal blocks and never leaves a one-row tail (numpy hands that to
+    gemv, which rounds differently from gemm). Up to a few hundred
+    coordinates the row norms then equal those of the one-shot product
+    bit for bit; past that BLAS may round a block in another order.
+    """
+    rows = 1 << (max(1, SIGN_BLOCK // max(1, config.shape[1])).bit_length() - 1)
+    out = np.empty(signs.shape[0])
+    for start in range(0, signs.shape[0], rows):
+        out[start:start + rows] = space.norm_rows(signs[start:start + rows] @ config)
     return out
 
 
@@ -117,9 +143,10 @@ def operator_norm(T, budget=32, seed=0):
 
     if fam is not None and fam.family == "lp" and fam.p == math.inf and dom.dim <= ENUM_CAP:
         signs = sign_patterns(dom.dim)
-        vals = cod.norm_rows(signs @ A.T)
+        vals = sign_norms(signs, A.T, cod)
         i = int(np.argmax(vals))
-        return Estimate(float(vals[i]), EXACT, witness=signs[i], budget=0, seed=seed)
+        # a copy, so the estimate does not keep the whole table alive
+        return Estimate(float(vals[i]), EXACT, witness=signs[i].copy(), budget=0, seed=seed)
 
     def project(x):
         nrm = dom.norm(x)
@@ -205,8 +232,7 @@ def weak_lq_upper(config, space, q):
     if n <= ENUM_CAP:
         # weak-1 moment equals the sign sup of the configuration, and
         # dominates every weak-q moment for q >= 1
-        signs = sign_patterns(n)
-        bounds.append(float(np.max(space.norm_rows(signs @ config))))
+        bounds.append(float(np.max(sign_norms(sign_patterns(n), config, space))))
     return min(bounds)
 
 
@@ -237,10 +263,10 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
 
     if q == 1.0 and n <= ENUM_CAP:
         signs = sign_patterns(n)
-        vals = space.norm_rows(signs @ config)
+        vals = sign_norms(signs, config, space)
         i = int(np.argmax(vals))
         v = float(vals[i])
-        return Estimate(v, EXACT, witness={"signs": signs[i]}, budget=0, seed=seed,
+        return Estimate(v, EXACT, witness={"signs": signs[i].copy()}, budget=0, seed=seed,
                         meta={"upper": v})
 
     upper = weak_lq_upper(config, space, q)

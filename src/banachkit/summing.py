@@ -16,7 +16,7 @@ import numpy as np
 from .averages import gaussian_average, rademacher_average
 from .estimates import Estimate, LOWER
 from .growth import validate_growth
-from .linmaps import ENUM_CAP, identity_map, sign_patterns, weak_lq_upper
+from .linmaps import ENUM_CAP, identity_map, sign_norms, sign_patterns, weak_lq_upper
 from .search import child_seeds, multistart_maximize
 from .spaces import gweak
 
@@ -34,16 +34,10 @@ __all__ = [
     "PremiseReport",
     "PremiseError",
     "EQUAL_NORM_FACTOR",
-    "C2_CAP",
-    "reevaluate_config_ratio",
 ]
 
 #: numerical constant in the equal-norm comparison inequality
 EQUAL_NORM_FACTOR = 2048.0
-
-#: cap on the weak-cotype constant in the q-power formulation; exposed as
-#: a parameter because its exact role is a modeling choice
-C2_CAP = 1.0 / (8.0 * math.e)
 
 
 # --------------------------------------------------------------------------
@@ -61,12 +55,11 @@ def _structured_configs(space, n):
 
 def _config_search(objective, space, n, budget, seed, structured=None):
     structured = structured if structured is not None else _structured_configs(space, n)
-    scale = 1.0  # objectives are ratios, invariant under global scaling
 
     def project(c):
         c = c.reshape(n, space.dim)
         m = np.max(np.abs(c))
-        return None if m == 0.0 else c / (m * scale)
+        return None if m == 0.0 else c / m
 
     val, wit = multistart_maximize(
         lambda c: objective(c.reshape(n, space.dim)),
@@ -78,12 +71,6 @@ def _config_search(objective, space, n, budget, seed, structured=None):
         random_start=lambda rng: rng.standard_normal((n, space.dim)),
     )
     return val, wit.reshape(n, space.dim)
-
-
-def reevaluate_config_ratio(numerator, space, config, q):
-    """Recompute a summing-type ratio from a stored witness config."""
-    den = weak_lq_upper(config, space, q)
-    return numerator(config) / den if den > 0 else 0.0
 
 
 def pi_pq_n(T, p, q, n, budget=32, seed=0):
@@ -170,7 +157,7 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
         signs = sign_patterns(n)
 
         def denominator(config):
-            return float(np.mean(X.norm_rows(signs @ config)))
+            return float(np.mean(sign_norms(signs, config, X)))
     else:
         z = np.random.default_rng(s_search).standard_normal((samples, n)) \
             if variable == "gaussian" else \

@@ -22,6 +22,15 @@ def test_unit_vector_gauge_is_exactly_one():
             assert gv.value == 1.0
 
 
+@pytest.mark.parametrize("seed", [7, 106])
+@pytest.mark.parametrize("kind", ["summing", "cotype"])
+def test_unit_vector_gauge_is_one_where_the_norm_oracles_differ(kind, seed):
+    # on lp:2:3 the scalar and row norm oracles can disagree in the last
+    # bit; the gauge must score its own normalized witness exactly
+    gv = opt_gauge([1.0], NormedSpace(lp(2), 3), kind, budget=4, seed=seed)
+    assert gv.value == 1.0
+
+
 def test_gauge_empty_and_cap():
     assert opt_gauge(np.zeros(3), spaces3()[0], "summing").value == 0.0
     with pytest.raises(ValueError, match="capped"):

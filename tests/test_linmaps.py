@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from banachkit import (LinearMap, NormedSpace, dual_norm, identity_map,
-                       lorentz, lp, operator_norm, weak_lq_functional)
-from banachkit.linmaps import sign_patterns, weak_lq_upper
+                       lorentz, lp, operator_norm, parse_space, rademacher_average,
+                       weak_lq_functional)
+from banachkit import linmaps
+from banachkit.linmaps import SIGN_BLOCK, sign_norms, sign_patterns, weak_lq_upper
 
 
 def space(p, n):
@@ -17,6 +20,60 @@ def test_sign_patterns_shape_and_symmetry():
     assert s.shape == (8, 4)
     assert np.all(s[:, 0] == 1.0)
     assert len({tuple(r) for r in s}) == 8
+
+
+@pytest.mark.parametrize("family", ["lp:1.5", "lp:3", "lp:inf", "lorentz:2:1",
+                                    "lorentz:2:inf", "gweak:pow:0.5"])
+def test_sign_norms_match_the_one_shot_product(family):
+    dim = 48
+    sp = parse_space(f"{family}:{dim}")
+    rng = np.random.default_rng(21)
+    config = rng.standard_normal((15, dim))
+    # blocks of the largest power-of-two row count within SIGN_BLOCK
+    # entries: three full blocks and a partial fourth
+    rows = 1 << ((SIGN_BLOCK // dim).bit_length() - 1)
+    signs = sign_patterns(15)[:13_000]
+    assert 3 * rows < signs.shape[0] < 4 * rows
+    tau = rng.uniform(0.1, 2.0, 15)
+    for table in (signs, signs * tau):
+        got = sign_norms(table, config, sp)
+        assert got.shape == (table.shape[0],)
+        assert np.array_equal(got, sp.norm_rows(table @ config))
+
+
+def test_sign_average_memory_stays_bounded():
+    rng = np.random.default_rng(5)
+    config = rng.standard_normal((18, 256))
+    tracemalloc.start()
+    try:
+        rademacher_average(config, parse_space("lp:3:256"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2^17 x 18 pattern table plus one block; the one-shot product
+    # alone would be 2^17 x 256 floats (268 MB)
+    assert peak < 64 * 2**20
+
+
+def test_enumerated_witnesses_do_not_hold_the_pattern_table(monkeypatch):
+    tables = []
+
+    def recording(n):
+        tables.append(sign_patterns(n))
+        return tables[-1]
+
+    monkeypatch.setattr(linmaps, "sign_patterns", recording)
+    A = np.array([[1.0, -2.0, 0.5], [0.3, 1.0, -1.0]])
+    est = operator_norm(LinearMap(A, space(math.inf, 3), space(1.5, 2)))
+    assert est.direction == "exact"
+    config = np.random.default_rng(4).standard_normal((5, 3))
+    weak = weak_lq_functional(config, space(3, 3), 1)
+    assert weak.direction == "exact"
+    fresh3, fresh5 = sign_patterns(3), sign_patterns(5)
+    for witness, table, fresh in ((est.witness, tables[0], fresh3),
+                                  (weak.witness["signs"], tables[1], fresh5)):
+        assert not np.shares_memory(witness, table)
+        assert any(np.array_equal(witness, row) for row in fresh)
 
 
 def test_operator_norm_exact_routes():
