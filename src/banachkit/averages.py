@@ -129,6 +129,7 @@ def contraction_check(config, space, budget=16, seed=0):
         seed=seed,
         project=lambda a: np.clip(a, -1.0, 1.0),
         random_start=lambda rng: rng.uniform(-1.0, 1.0, n),
+        rows=lambda X: space.norm_rows(np.clip(X, -1.0, 1.0) @ config),
     )
     return max(float(box_val), sup_signs), sup_signs
 

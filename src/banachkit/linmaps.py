@@ -3,12 +3,14 @@
 Operator norms are exact where a closed form exists (Euclidean to
 Euclidean, out of l_1, into l_inf, out of a small l_inf cube) and are
 otherwise reported as witnessed lower bounds with a companion upper
-bound from Euclidean comparison constants.
+bound from Euclidean comparison constants. The searches behind the
+operator and dual norms score whole blocks of proposals through
+norm_rows (see search.multistart_maximize).
 
 Every sign enumeration of the package goes through sign_norms, which
 streams the product of a pattern table and a configuration in row
 blocks of at most SIGN_BLOCK entries: peak memory is the 2^(n-1) x n
-table plus one block, whatever the dimension.
+int8 table plus one block, whatever the dimension.
 """
 
 import math
@@ -30,34 +32,47 @@ SIGN_BLOCK = 1 << 18
 
 def sign_patterns(n):
     """All sign vectors of length n with first entry +1 (global flip
-    symmetry halves the enumeration), as a (2^(n-1), n) float array."""
+    symmetry halves the enumeration), as a (2^(n-1), n) int8 array.
+
+    The entries are exact in any dtype, so products and scalings of the
+    table equal those of a float table bit for bit at an eighth of the
+    memory. Column j alternates runs of 2^(n-1-j) plus and minus signs.
+    """
     if n > ENUM_CAP:
         raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
     m = 2 ** (n - 1)
-    out = np.empty((m, n))
-    out[:, 0] = 1.0
+    out = np.empty((m, n), dtype=np.int8)
+    out[:, 0] = 1
     for j in range(1, n):
-        block = 2 ** (n - 1 - j)
-        pattern = np.repeat(np.array([1.0, -1.0]), block)
-        out[:, j] = np.tile(pattern, m // (2 * block))
+        run = 2 ** (n - 1 - j)
+        cols = out.reshape(m // (2 * run), 2, run, n)[..., j]
+        cols[:, 0] = 1
+        cols[:, 1] = -1
     return out
 
 
 def sign_norms(signs, config, space):
     """space.norm_rows(signs @ config), computed in row blocks.
 
-    Each block of the product holds at most SIGN_BLOCK entries, so the
-    temporaries stay the same size whatever the dimension. The rows per
+    Each block holds at most SIGN_BLOCK entries of the widest array
+    formed on it: the block of signs as floats, signs @ config, or the
+    rows space.norm_rows forms from that (a subspace maps them into its
+    ambient space). The temporaries so stay the same size whatever the
+    dimension. The rows per
     block are a power of two, which splits a sign_patterns table into
     equal blocks and never leaves a one-row tail (numpy hands that to
     gemv, which rounds differently from gemm). Up to a few hundred
     coordinates the row norms then equal those of the one-shot product
     bit for bit; past that BLAS may round a block in another order.
     """
-    rows = 1 << (max(1, SIGN_BLOCK // max(1, config.shape[1])).bit_length() - 1)
+    width = max(signs.shape[1], config.shape[1], space.row_width)
+    rows = 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
     out = np.empty(signs.shape[0])
     for start in range(0, signs.shape[0], rows):
-        out[start:start + rows] = space.norm_rows(signs[start:start + rows] @ config)
+        # an explicit float block: numpy multiplies a mixed int8 x float
+        # pair several times slower than two float arrays
+        block = np.asarray(signs[start:start + rows], dtype=float)
+        out[start:start + rows] = space.norm_rows(block @ config)
     return out
 
 
@@ -106,6 +121,25 @@ def norm_upper(T):
     return T.codomain.le_euclid() * smax * T.domain.ge_euclid()
 
 
+def _to_sphere(space, x):
+    """x scaled onto the unit sphere of space; None for the zero vector."""
+    nrm = space.norm(x)
+    return None if nrm == 0.0 else x / nrm
+
+
+def _on_sphere(space, f):
+    """Batch evaluator for the search: f of the rows of X scaled onto the
+    unit sphere of space, -inf where a row has norm zero (the rows that
+    _to_sphere rejects)."""
+    def rows(X):
+        nrm = space.norm_rows(X)
+        out = np.full(X.shape[0], -np.inf)
+        ok = nrm != 0.0
+        out[ok] = f(X[ok] / nrm[ok, None])
+        return out
+    return rows
+
+
 def operator_norm(T, budget=32, seed=0):
     """Operator norm of T, exact on the closed-form routes.
 
@@ -145,14 +179,11 @@ def operator_norm(T, budget=32, seed=0):
         signs = sign_patterns(dom.dim)
         vals = sign_norms(signs, A.T, cod)
         i = int(np.argmax(vals))
-        # a copy, so the estimate does not keep the whole table alive
-        return Estimate(float(vals[i]), EXACT, witness=signs[i].copy(), budget=0, seed=seed)
+        # a float copy, so the estimate does not keep the whole table alive
+        return Estimate(float(vals[i]), EXACT, witness=signs[i].astype(float), budget=0,
+                        seed=seed)
 
-    def project(x):
-        nrm = dom.norm(x)
-        return None if nrm == 0.0 else x / nrm
-
-    structured = [np.eye(dom.dim)[j] for j in range(dom.dim)]
+    structured = list(np.eye(dom.dim))
     structured.append(np.ones(dom.dim))
     val, wit = multistart_maximize(
         lambda x: cod.norm(A @ x),
@@ -160,7 +191,8 @@ def operator_norm(T, budget=32, seed=0):
         structured=structured,
         budget=budget,
         seed=seed,
-        project=project,
+        project=lambda x: _to_sphere(dom, x),
+        rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ A.T)),
     )
     return Estimate(
         float(val), LOWER, witness=wit, budget=budget, seed=seed,
@@ -185,10 +217,6 @@ def dual_norm(space, functional, budget=32, seed=0):
     if not np.any(y):
         return Estimate(0.0, EXACT, witness=None, budget=0, seed=seed)
 
-    def project(x):
-        nrm = space.norm(x)
-        return None if nrm == 0.0 else x / nrm
-
     # rearrangement-aligned profile: the extreme configuration for
     # rearrangement-invariant balls, plus coordinate and sign starts
     order = np.argsort(-np.abs(y))
@@ -201,7 +229,8 @@ def dual_norm(space, functional, budget=32, seed=0):
         structured=structured,
         budget=budget,
         seed=seed,
-        project=project,
+        project=lambda x: _to_sphere(space, x),
+        rows=_on_sphere(space, lambda U: np.abs(U @ y)),
     )
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"upper": space.dual_upper(y)})
@@ -266,8 +295,8 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
         vals = sign_norms(signs, config, space)
         i = int(np.argmax(vals))
         v = float(vals[i])
-        return Estimate(v, EXACT, witness={"signs": signs[i].copy()}, budget=0, seed=seed,
-                        meta={"upper": v})
+        return Estimate(v, EXACT, witness={"signs": signs[i].astype(float)}, budget=0,
+                        seed=seed, meta={"upper": v})
 
     upper = weak_lq_upper(config, space, q)
 
@@ -275,7 +304,7 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
         du = space.dual_upper(z)
         return None if du == 0.0 else z / du
 
-    structured = [np.eye(dim)[j] for j in range(dim)]
+    structured = list(np.eye(dim))
     structured.append(config.sum(axis=0))
     val, wit = multistart_maximize(
         lambda z: _weak_moment(config, z, q),

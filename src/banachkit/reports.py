@@ -11,13 +11,11 @@ excluded from reproducibility comparisons.
 import csv
 import io
 import json
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .estimates import jsonable
 
-__all__ = ["CheckRecord", "SuiteReport", "timed_check"]
+__all__ = ["CheckRecord", "SuiteReport"]
 
 ASSERT, OBSERVE = "ASSERT", "OBSERVE"
 
@@ -103,13 +101,3 @@ class SuiteReport:
                      f"{sum(r.verdict == 'fail' for r in self.records)} fail, "
                      f"{sum(r.verdict == 'observe' for r in self.records)} observe)")
         return lines
-
-
-@contextmanager
-def timed_check():
-    t0 = time.perf_counter()
-    box = {}
-    try:
-        yield box
-    finally:
-        box["runtime"] = time.perf_counter() - t0

@@ -227,6 +227,11 @@ class NormedSpace:
     def norm_rows(self, m):
         return self.space.norm_rows(self._check(m))
 
+    @property
+    def row_width(self):
+        """Widest row a norm_rows call forms: the rows it is given."""
+        return self.dim
+
     def unit(self, x):
         x = np.asarray(x, dtype=float)
         nrm = self.norm(x)
@@ -302,6 +307,12 @@ class SubspaceSpace:
 
     def norm_rows(self, m):
         return self.ambient.norm_rows(np.asarray(m, dtype=float) @ self.basis.T)
+
+    @property
+    def row_width(self):
+        """Widest row a norm_rows call forms: rows mapped into the ambient
+        space, which may be far wider than the subspace."""
+        return max(self.dim, self.ambient.row_width)
 
     def unit(self, x):
         x = np.asarray(x, dtype=float)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from banachkit import (LinearMap, NormedSpace, dual_norm, identity_map,
+from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identity_map,
                        lorentz, lp, operator_norm, parse_space, rademacher_average,
                        weak_lq_functional)
 from banachkit import linmaps
@@ -20,6 +20,22 @@ def test_sign_patterns_shape_and_symmetry():
     assert s.shape == (8, 4)
     assert np.all(s[:, 0] == 1.0)
     assert len({tuple(r) for r in s}) == 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_int8_sign_table_products_equal_float_ones(n):
+    table = sign_patterns(n)
+    assert table.dtype == np.int8
+    # the float table, column j alternating runs of 2^(n-1-j) signs
+    runs = 2 ** (n - 1 - np.arange(n))
+    ref = np.where((np.arange(2 ** (n - 1))[:, None] // runs) % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(table, ref)
+    rng = np.random.default_rng(n)
+    for dim in (3, 40):
+        config = rng.standard_normal((n, dim))
+        tau = rng.uniform(0.1, 2.0, n)
+        assert np.array_equal(table @ config, ref @ config)
+        assert np.array_equal(table * tau, ref * tau)
 
 
 @pytest.mark.parametrize("family", ["lp:1.5", "lp:3", "lp:inf", "lorentz:2:1",
@@ -55,6 +71,21 @@ def test_sign_average_memory_stays_bounded():
     assert peak < 64 * 2**20
 
 
+def test_subspace_sign_average_memory_stays_bounded():
+    rng = np.random.default_rng(6)
+    sub = SubspaceSpace(rng.standard_normal((1024, 16)), parse_space("lp:3:1024"))
+    config = rng.standard_normal((16, 16))
+    tracemalloc.start()
+    try:
+        rademacher_average(config, sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # blocks budgeted by the 16-coordinate width alone were 16384 rows,
+    # each mapped into all 1024 ambient coordinates (390 MB at peak)
+    assert peak < 64 * 2**20
+
+
 def test_enumerated_witnesses_do_not_hold_the_pattern_table(monkeypatch):
     tables = []
 
@@ -73,6 +104,7 @@ def test_enumerated_witnesses_do_not_hold_the_pattern_table(monkeypatch):
     for witness, table, fresh in ((est.witness, tables[0], fresh3),
                                   (weak.witness["signs"], tables[1], fresh5)):
         assert not np.shares_memory(witness, table)
+        assert witness.dtype == np.float64
         assert any(np.array_equal(witness, row) for row in fresh)
 
 

@@ -1,0 +1,190 @@
+import math
+
+import numpy as np
+import pytest
+
+from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gweak, linmaps,
+                       lorentz, lp, operator_norm)
+from banachkit.growth import GrowthSequence
+from banachkit.search import child_seeds, multistart_maximize, split_budget
+
+
+# -- the search as it was before batch evaluators: one scalar objective
+#    call per proposal; the reference the batched search must reproduce
+
+
+def reference_polish(x, value, objective, project, sweeps, rng, step0=0.5, max_proposals=48):
+    x = np.array(x, dtype=float)
+    best = value
+    step = step0
+    n_entries = x.size
+    for _ in range(sweeps):
+        order = rng.permutation(n_entries)[: max_proposals // 2 or 1]
+        improved = False
+        for idx in order:
+            for delta in (step, -step):
+                cand = x.copy()
+                cand.flat[idx] += delta
+                cand = project(cand)
+                if cand is None:
+                    continue
+                v = objective(cand)
+                if v > best + 1e-15:
+                    x, best = cand, v
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+            if step < 1e-4:
+                break
+    return best, x
+
+
+def reference_maximize(objective, *, shape, structured=(), budget=0, seed=0,
+                       project=None, random_start=None, rows=None):
+    if project is None:
+        project = lambda a: a
+    if random_start is None:
+        random_start = lambda rng: rng.standard_normal(shape)
+    n_starts, sweeps = split_budget(budget)
+    seeds = child_seeds(seed, n_starts + 1)
+    rng_polish = np.random.default_rng(seeds[-1])
+    candidates = []
+    for s in structured:
+        cand = project(np.array(s, dtype=float))
+        if cand is not None:
+            candidates.append(cand)
+    for i in range(n_starts):
+        cand = project(random_start(np.random.default_rng(seeds[i])))
+        if cand is not None:
+            candidates.append(cand)
+    if not candidates:
+        raise ValueError("no feasible start for the search")
+    best_val, best_x = -np.inf, None
+    for cand in candidates:
+        v = objective(cand)
+        if v > best_val:
+            best_val, best_x = v, cand
+    if best_x is None or not np.isfinite(best_val):
+        raise ValueError("all starts were rejected by the objective")
+    if sweeps > 0:
+        best_val, best_x = reference_polish(best_x, best_val, objective, project, sweeps,
+                                            rng_polish)
+    return best_val, best_x
+
+
+def families(dim):
+    g = GrowthSequence.power(0.5)
+    spaces = [NormedSpace(lp(1.5), dim), NormedSpace(lp(3), dim),
+              NormedSpace(lp(math.inf), dim), NormedSpace(lorentz(2, 1), dim),
+              NormedSpace(lorentz(3, 2), dim), NormedSpace(lorentz(2, math.inf), dim),
+              NormedSpace(gweak(g), dim)]
+    basis = np.random.default_rng(dim).standard_normal((dim + 3, dim))
+    spaces.append(SubspaceSpace(basis, NormedSpace(lp(4), dim + 3)))
+    return spaces
+
+
+def assert_same_estimate(new, ref):
+    assert new.direction == ref.direction
+    assert new.value == ref.value
+    assert np.array_equal(new.witness, ref.witness)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 32])
+def test_operator_norm_search_matches_the_scalar_reference(dim, monkeypatch):
+    rng = np.random.default_rng(100 + dim)
+    searched = 0
+    for dom in families(dim):
+        for cod in (NormedSpace(lp(2.5), 7), NormedSpace(lorentz(3, 1), 7)):
+            T = LinearMap(rng.standard_normal((7, dim)), dom, cod)
+            new = operator_norm(T, budget=16, seed=dim)
+            with monkeypatch.context() as m:
+                m.setattr(linmaps, "multistart_maximize", reference_maximize)
+                ref = operator_norm(T, budget=16, seed=dim)
+            assert_same_estimate(new, ref)
+            if new.direction == "lower":
+                searched += 1
+                A = T.matrix
+                assert new.value == cod.norm(A @ new.witness)
+    assert searched >= 12
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 32])
+def test_dual_norm_search_matches_the_scalar_reference(dim, monkeypatch):
+    rng = np.random.default_rng(200 + dim)
+    searched = 0
+    for space in families(dim):
+        y = rng.standard_normal(dim)
+        y[rng.random(dim) < 0.2] = 0.0
+        new = dual_norm(space, y, budget=32, seed=dim)
+        with monkeypatch.context() as m:
+            m.setattr(linmaps, "multistart_maximize", reference_maximize)
+            ref = dual_norm(space, y, budget=32, seed=dim)
+        if new.direction == "exact":
+            assert new.value == ref.value
+            continue
+        searched += 1
+        assert_same_estimate(new, ref)
+        assert new.value == abs(float(new.witness @ y))
+    assert searched >= 3
+
+
+def guarded(shape, objective, project):
+    """objective and project that fail on anything but one array of shape
+    or a flat one of its size."""
+
+    def check(x):
+        assert isinstance(x, np.ndarray)
+        assert x.shape in (shape, (math.prod(shape),)), x.shape
+
+    def obj(x):
+        check(x)
+        return objective(x)
+
+    def proj(x):
+        check(x)
+        return project(x)
+
+    return obj, proj
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 4)])
+def test_batched_search_hands_single_arrays_and_reproduces_its_value(shape):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, math.prod(shape)))
+    objective = lambda x: float(np.sum(np.abs(A @ x.ravel()) ** 3) ** (1 / 3))
+    project = lambda x: x / np.max(np.abs(x))
+    rows = lambda X: np.sum(np.abs((X / np.max(np.abs(X), axis=1)[:, None]) @ A.T) ** 3,
+                            axis=1) ** (1 / 3)
+    obj, proj = guarded(shape, objective, project)
+    kwargs = dict(shape=shape, structured=[np.ones(shape)], budget=32, seed=3)
+    val, wit = multistart_maximize(obj, project=proj, rows=rows, **kwargs)
+    ref_val, ref_wit = reference_maximize(objective, project=project, **kwargs)
+    assert wit.shape == shape
+    assert val == objective(wit)
+    assert val == ref_val and np.array_equal(wit, ref_wit)
+
+
+def test_rejected_rows_are_never_accepted():
+    # the objective grows with x[0]; rows rejects every proposal with
+    # x[0] > 0.25, the first time together with project, the second
+    # time alone, where only the batch keeps the search from taking them
+    objective = lambda x: float(x[0] + 0.1 * x[1])
+    rows = lambda X: np.where(X[:, 0] > 0.25, -np.inf,
+                              np.clip(X[:, 0], -1, 1) + 0.1 * np.clip(X[:, 1], -1, 1))
+    for project in (lambda x: None if x[0] > 0.25 else np.clip(x, -1.0, 1.0),
+                    lambda x: np.clip(x, -1.0, 1.0)):
+        obj, proj = guarded((2,), objective, project)
+        val, wit = multistart_maximize(obj, shape=(2,), structured=[[2.0, 1.0], [0.0, 0.0]],
+                                       budget=64, seed=1, project=proj, rows=rows)
+        assert 0.2 < wit[0] <= 0.25 and val == objective(wit)
+
+
+def test_search_with_every_start_rejected_still_raises():
+    rejected = lambda X: np.full(X.shape[0], -np.inf)
+    with pytest.raises(ValueError, match="no feasible start"):
+        multistart_maximize(lambda x: 1.0, shape=(3,), structured=[np.ones(3)], budget=8,
+                            project=lambda x: None, rows=rejected)
+    with pytest.raises(ValueError, match="rejected by the objective"):
+        multistart_maximize(lambda x: -np.inf, shape=(3,), structured=[np.ones(3)], budget=8,
+                            rows=rejected)
