@@ -20,7 +20,7 @@ from .averages import gaussian_average, rademacher_average
 from .estimates import jsonable
 from .gauges import convexify, opt_gauge
 from .growth import GrowthSequence, g_q, tilde_g, validate_growth
-from .linmaps import LinearMap, identity_map
+from .linmaps import LinearMap, identity_map, weak_lq_upper
 from .pipeline import run_pipeline
 from .snumbers import approximation_numbers, eigen_decay_vs_weyl, eigenvalue_sequence, weyl_numbers
 from .spaces import DescriptorError, parse_family, parse_space
@@ -47,14 +47,8 @@ def _config(args, dim):
 
 def _emit(args, payload, lines):
     if args.out:
-        if args.format == "csv" and hasattr(payload, "to_csv"):
-            text = payload.to_csv()
-        elif hasattr(payload, "to_json"):
-            text = payload.to_json()
-        else:
-            text = json.dumps(jsonable(payload), indent=2)
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(json.dumps(jsonable(payload), indent=2))
     for line in lines:
         print(line)
 
@@ -181,8 +175,6 @@ def cmd_pipeline(args):
     config = _config(args, space.dim)
     if not getattr(args, "config_file", None):
         # default coordinate config, scaled into the weak-2 premise
-        from .linmaps import weak_lq_upper
-
         config = config / weak_lq_upper(config, space, 2.0)
     if args.growth:
         g, _ = _parse_growth(args.growth)
@@ -240,41 +232,42 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"banachkit {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=32)
-    common.add_argument("--tol", type=float, default=None)
     common.add_argument("--out", default=None, help="write a structured report here")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    # verify leaves --budget to each suite, so it is not in common:
+    # set_defaults on an action shared through a parent changes it everywhere
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget", type=int, default=32)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", parents=[common], help="evaluate a sequence norm")
+    p = sub.add_parser("norm", parents=[budgeted], help="evaluate a sequence norm")
     p.add_argument("descriptor")
     p.add_argument("--vec", help="comma-separated entries")
     p.add_argument("--vec-file")
     p.set_defaults(fn=cmd_norm)
 
-    p = sub.add_parser("growth", parents=[common], help="validate a growth sequence")
+    p = sub.add_parser("growth", parents=[budgeted], help="validate a growth sequence")
     p.add_argument("descriptor", help="gweak:pow:<a>:<N> or gweak:file:<path>:<N>")
     p.add_argument("--check", help="comma list of S, L:<t>, M:<r>")
     p.add_argument("--tilde", help="r:n")
     p.add_argument("--gq", help="q:n")
     p.set_defaults(fn=cmd_growth)
 
-    p = sub.add_parser("snum", parents=[common], help="s-number sequences")
+    p = sub.add_parser("snum", parents=[budgeted], help="s-number sequences")
     p.add_argument("--matrix-file")
     p.add_argument("--domain", required=True)
     p.add_argument("--codomain")
     p.add_argument("--kind", choices=("approx", "weyl"), default="approx")
     p.set_defaults(fn=cmd_snum)
 
-    p = sub.add_parser("eig", parents=[common], help="eigenvalue sequence and decay")
+    p = sub.add_parser("eig", parents=[budgeted], help="eigenvalue sequence and decay")
     p.add_argument("--matrix-file")
     p.add_argument("--domain", required=True)
     p.add_argument("--codomain")
     p.add_argument("--growth")
     p.set_defaults(fn=cmd_eig)
 
-    p = sub.add_parser("avg", parents=[common], help="sign / gaussian averages")
+    p = sub.add_parser("avg", parents=[budgeted], help="sign / gaussian averages")
     p.add_argument("--space", required=True)
     p.add_argument("--config-file")
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")
@@ -282,7 +275,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(fn=cmd_avg)
 
-    p = sub.add_parser("summing", parents=[common], help="summing norm lower bounds")
+    p = sub.add_parser("summing", parents=[budgeted], help="summing norm lower bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--matrix-file")
     p.add_argument("--p", type=float, default=1.0)
@@ -290,21 +283,21 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_summing)
 
-    p = sub.add_parser("cotype", parents=[common], help="cotype constant lower bounds")
+    p = sub.add_parser("cotype", parents=[budgeted], help="cotype constant lower bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")
     p.set_defaults(fn=cmd_cotype)
 
-    p = sub.add_parser("gauge", parents=[common], help="optimal gauge upper bounds")
+    p = sub.add_parser("gauge", parents=[budgeted], help="optimal gauge upper bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--kind", choices=("summing", "cotype"), default="summing")
     p.add_argument("--convexify", action="store_true")
     p.set_defaults(fn=cmd_gauge)
 
-    p = sub.add_parser("pipeline", parents=[common], help="block lower-bound certificate")
+    p = sub.add_parser("pipeline", parents=[budgeted], help="block lower-bound certificate")
     p.add_argument("--space", required=True)
     p.add_argument("--config-file")
     p.add_argument("--growth")
@@ -318,6 +311,10 @@ def build_parser():
     p.add_argument("suite", nargs="?", default="all",
                    help="suite name or 'all'; --list shows the registry")
     p.add_argument("--list", action="store_true")
+    p.add_argument("--budget", type=int, default=None,
+                   help="search budget (default: each suite's own)")
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -330,9 +327,6 @@ def main(argv=None):
         for name in SUITES:
             print(name)
         return 0
-    # suite functions own their budget defaults; only forward an explicit one
-    if args.command == "verify" and "--budget" not in (argv if argv is not None else sys.argv):
-        args.budget = None
     try:
         return args.fn(args)
     except DescriptorError as exc:

@@ -7,18 +7,26 @@ reported number can be reproduced independently of the search that found
 it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
-__all__ = ["Estimate", "AverageResult", "GaugeValue", "jsonable"]
+__all__ = ["Record", "Estimate", "AverageResult", "GaugeValue", "jsonable"]
 
 LOWER, UPPER, EXACT = "lower", "upper", "exact"
 
 
+class Record:
+    """Dataclass mixin: to_dict maps each field, in declaration order, to
+    its jsonable value."""
+
+    def to_dict(self):
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass
-class Estimate:
+class Estimate(Record):
     value: float
     direction: str  # "lower" | "upper" | "exact"
     witness: Any = None
@@ -31,20 +39,9 @@ class Estimate:
         if self.direction not in (LOWER, UPPER, EXACT):
             raise ValueError(f"bad direction {self.direction!r}")
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "direction": self.direction,
-            "witness": jsonable(self.witness),
-            "budget": self.budget,
-            "seed": self.seed,
-            "stderr": self.stderr,
-            "meta": jsonable(self.meta),
-        }
-
 
 @dataclass
-class AverageResult:
+class AverageResult(Record):
     """Expectation of a norm under random signs or gaussians."""
 
     value: float
@@ -53,37 +50,18 @@ class AverageResult:
     stderr: float
     seed: int | None = None
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "method": self.method,
-            "samples": self.samples,
-            "stderr": self.stderr,
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class GaugeValue:
+class GaugeValue(Record):
     """Upper estimate of an infimum-type gauge, with the achieving
     unit-vector configuration as witness."""
 
     value: float
+    direction: str = UPPER
     witness: Any = None
     budget: int = 0
     seed: int | None = None
-    direction: str = UPPER
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "direction": self.direction,
-            "witness": jsonable(self.witness),
-            "budget": self.budget,
-            "seed": self.seed,
-            "meta": jsonable(self.meta),
-        }
 
 
 def jsonable(obj):

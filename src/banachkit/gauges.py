@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import GaugeValue
+from .estimates import GaugeValue, Record
 from .growth import iterated_log, tower_index
 from .linmaps import ENUM_CAP, sign_norms, sign_patterns
 from .search import child_seeds, multistart_maximize
@@ -110,7 +110,6 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
     eye = np.eye(dim)
 
     def project(c):
-        c = c.reshape(m, dim)
         norms = np.array([space.norm(row) for row in c])
         if np.any(norms == 0.0):
             return None
@@ -125,15 +124,14 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
     if had is not None:
         structured.append(had)
     val, wit = multistart_maximize(
-        lambda c: -value(c.reshape(m, dim)),
+        lambda c: -value(c),
         shape=(m, dim),
         structured=structured,
         budget=budget,
         seed=seed,
         project=project,
-        random_start=lambda rng: rng.standard_normal((m, dim)),
     )
-    return GaugeValue(float(-val), witness=wit.reshape(m, dim), budget=budget,
+    return GaugeValue(float(-val), witness=wit, budget=budget,
                       seed=seed, meta={"kind": kind, "support": m})
 
 
@@ -251,7 +249,7 @@ def submultiplicativity_check(space, n, k):
 
 
 @dataclass
-class Classification:
+class Classification(Record):
     case: int
     p: float
     n_max: int
@@ -261,9 +259,6 @@ class Classification:
     inclusion_constant: float | None = None
     cn_bound: float | None = None
     cn_limit: float | None = None
-
-    def to_dict(self):
-        return {k: v for k, v in self.__dict__.items()}
 
 
 def alternative_classify(space, p, n_max=64):

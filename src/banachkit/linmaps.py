@@ -158,16 +158,14 @@ def operator_norm(T, budget=32, seed=0):
         u, s, vt = np.linalg.svd(A)
         return Estimate(float(s[0]), EXACT, witness=vt[0], budget=0, seed=seed)
 
-    fam = getattr(dom, "space", None)
-    if fam is not None and fam.family == "lp" and fam.p == 1.0:
+    if dom.is_l1:
         vals = cod.norm_rows(A.T)
         j = int(np.argmax(vals))
         w = np.zeros(dom.dim)
         w[j] = 1.0
         return Estimate(float(vals[j]), EXACT, witness=w, budget=0, seed=seed)
 
-    cfam = getattr(cod, "space", None)
-    if cfam is not None and cfam.family == "lp" and cfam.p == math.inf:
+    if cod.is_linf:
         duals = [dom.dual_exact(row) for row in A]
         if all(d is not None for d in duals):
             i = int(np.argmax(duals))
@@ -175,7 +173,7 @@ def operator_norm(T, budget=32, seed=0):
                 float(duals[i]), EXACT, witness={"row": i}, budget=0, seed=seed
             )
 
-    if fam is not None and fam.family == "lp" and fam.p == math.inf and dom.dim <= ENUM_CAP:
+    if dom.is_linf and dom.dim <= ENUM_CAP:
         signs = sign_patterns(dom.dim)
         vals = sign_norms(signs, A.T, cod)
         i = int(np.argmax(vals))

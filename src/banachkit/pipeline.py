@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averages import gaussian_average, rademacher_average
-from .estimates import jsonable
+from .estimates import Record
 from .linmaps import identity_map
 from .search import child_seeds
 from .summing import equal_norm_premise_check
@@ -42,7 +42,7 @@ class PlanError(ValueError):
 
 
 @dataclass
-class PipelinePlan:
+class PipelinePlan(Record):
     n_raw: int
     r: int
     M: int
@@ -55,9 +55,6 @@ class PipelinePlan:
     cond1: dict
     cond2_ok: bool
     cond2: dict
-
-    def to_dict(self):
-        return jsonable(self.__dict__)
 
 
 def plan_parameters(n_raw, g, r, H=1.0, K=1.0, s3=1.0, d=None, s2=1.0):
@@ -98,23 +95,13 @@ def plan_parameters(n_raw, g, r, H=1.0, K=1.0, s3=1.0, d=None, s2=1.0):
 
 
 @dataclass
-class BlockSelection:
+class BlockSelection(Record):
     indices: list
     average: object  # AverageResult (sign average, selection criterion)
     gaussian: object  # AverageResult (gaussian average, enters the recursion)
     target: float
     target_strict: float
     met: bool
-
-    def to_dict(self):
-        return {
-            "indices": list(map(int, self.indices)),
-            "average": self.average.to_dict(),
-            "gaussian": self.gaussian.to_dict(),
-            "target": self.target,
-            "target_strict": self.target_strict,
-            "met": self.met,
-        }
 
 
 def select_block(config, space, J, s, target, budget=32, seed=0, target_strict=None,
@@ -170,7 +157,7 @@ def select_block(config, space, J, s, target, budget=32, seed=0, target_strict=N
 
 
 @dataclass
-class RegroupReport:
+class RegroupReport(Record):
     k: int
     alpha: float
     precondition_ok: bool
@@ -178,9 +165,6 @@ class RegroupReport:
     predicted: float
     measured: object  # AverageResult
     dominated: bool
-
-    def to_dict(self):
-        return jsonable({**self.__dict__, "measured": self.measured.to_dict()})
 
 
 def regroup_step(config, space, blocks, g, H=1.0, s3=1.0, K=1.0, samples=20_000, seed=0):
@@ -219,7 +203,7 @@ def regroup_step(config, space, blocks, g, H=1.0, s3=1.0, K=1.0, samples=20_000,
 
 
 @dataclass
-class BlockCertificate:
+class BlockCertificate(Record):
     plan: PipelinePlan
     constants: dict
     premise: object
@@ -233,23 +217,6 @@ class BlockCertificate:
     samples: int
     budget: int = 0
     notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "plan": self.plan.to_dict(),
-            "constants": jsonable(self.constants),
-            "premise": self.premise.to_dict(),
-            "blocks": [b.to_dict() for b in self.blocks],
-            "levels": jsonable(self.levels),
-            "final_measured": self.final_measured.to_dict(),
-            "final_floor": self.final_floor,
-            "overall_floor": self.overall_floor,
-            "verdict": self.verdict,
-            "master_seed": self.master_seed,
-            "samples": self.samples,
-            "budget": self.budget,
-            "notes": list(self.notes),
-        }
 
 
 def level_floor(plan, ledger, level):

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .estimates import jsonable
+from .estimates import Record
 
 __all__ = ["CheckRecord", "SuiteReport"]
 
@@ -23,7 +23,7 @@ VERSION = "0.1.0"
 
 
 @dataclass
-class CheckRecord:
+class CheckRecord(Record):
     name: str
     tier: str
     verdict: str  # "pass" | "fail" | "observe"
@@ -33,19 +33,6 @@ class CheckRecord:
     seed: int | None = None
     runtime: float = 0.0
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "tier": self.tier,
-            "verdict": self.verdict,
-            "measured": self.measured,
-            "bound": self.bound,
-            "inputs": jsonable(self.inputs),
-            "seed": self.seed,
-            "runtime": self.runtime,
-            "extra": jsonable(self.extra),
-        }
 
 
 @dataclass

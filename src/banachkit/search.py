@@ -22,6 +22,15 @@ import numpy as np
 
 __all__ = ["child_seeds", "split_budget", "multistart_maximize"]
 
+#: most polish sweeps a search makes (see split_budget)
+SWEEPS = 8
+
+#: starting step of the coordinate ascent
+STEP0 = 0.5
+
+#: proposals per polish sweep (two per visited entry)
+MAX_PROPOSALS = 48
+
 #: relative gap between a batch score and the scalar objective that the
 #: screen still lets through to the scalar check; far above the few ulps
 #: by which norm_rows and norm, or a gemm and a gemv, can differ
@@ -33,16 +42,16 @@ def child_seeds(master, n):
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(master).spawn(n)]
 
 
-def split_budget(budget, sweeps=8):
+def split_budget(budget):
     """Split a scalar budget into (random starts, polish sweeps).
 
-    budget is interpreted as starts x sweeps; budget 0 means structured
-    starts only, no polish.
+    budget is interpreted as starts x sweeps, with at most SWEEPS
+    sweeps; budget 0 means structured starts only, no polish.
     """
     budget = int(budget)
     if budget <= 0:
         return 0, 0
-    sweeps = max(1, min(sweeps, budget))
+    sweeps = min(SWEEPS, budget)
     return max(1, budget // sweeps), sweeps
 
 
@@ -80,11 +89,10 @@ def _first_gain(P, x, score, value, objective, project, vals):
     return None, x, score, value
 
 
-def _polish(x, value, objective, project, sweeps, rng, rows=None, step0=0.5,
-            max_proposals=48):
+def _polish(x, value, objective, project, sweeps, rng, rows=None):
     """Greedy coordinate ascent on the flattened entries of x.
 
-    A sweep visits up to max_proposals // 2 entries in a random order
+    A sweep visits up to MAX_PROPOSALS // 2 entries in a random order
     and proposes x + step, then x - step, at each; the first proposal
     that beats the current value by more than 1e-15 is taken and the
     sweep goes on at the next entry. A sweep without a gain halves the
@@ -95,9 +103,9 @@ def _polish(x, value, objective, project, sweeps, rng, rows=None, step0=0.5,
     """
     x = np.array(x, dtype=float)
     score = value
-    step = step0
+    step = STEP0
     for _ in range(sweeps):
-        order = rng.permutation(x.size)[: max_proposals // 2 or 1]
+        order = rng.permutation(x.size)[: MAX_PROPOSALS // 2]
         # proposal j moves entry entries[j] by deltas[j]
         entries = np.repeat(order, 2)
         deltas = np.tile([step, -step], order.size)

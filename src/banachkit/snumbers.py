@@ -7,12 +7,12 @@ Euclidean singular values scaled by space-comparison constants give
 lower bounds. No heuristic value is ever tagged exact.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linmaps import LinearMap, operator_norm
+from .spaces import NormedSpace, lp
 
 __all__ = [
     "SNumberSequence",
@@ -103,10 +103,9 @@ def approximation_numbers(T):
 def _contraction_upper(u_matrix, space):
     """Certified upper bound on ||u : l_2^m -> space||."""
     smax = float(np.linalg.svd(u_matrix, compute_uv=False)[0]) if np.any(u_matrix) else 0.0
-    fam = getattr(space, "space", None)
     if space.is_euclidean:
         return smax
-    if fam is not None and fam.family == "lp" and fam.p == math.inf:
+    if space.is_linf:
         return float(np.max(np.linalg.norm(u_matrix, axis=1))) if np.any(u_matrix) else 0.0
     return space.le_euclid() * smax
 
@@ -114,10 +113,20 @@ def _contraction_upper(u_matrix, space):
 def _approx_lower_from_l2(B, codomain):
     """Entrywise lower bounds on a_n(B : l_2^m -> codomain)."""
     s = np.linalg.svd(B, compute_uv=False)
-    k = min(B.shape)
-    if codomain.is_euclidean:
-        return s[:k]
-    return s[:k] / codomain.ge_euclid()
+    return s if codomain.is_euclidean else s / codomain.ge_euclid()
+
+
+def _coordinate_frames(dim, count, seed, random_width=False):
+    """Contractions u : l_2^m -> l_2^dim: the coordinate isometries
+    (m = dim, then m = 1, ..., dim - 1) and `count` seeded random
+    orthonormal frames, each cut to a random width m when random_width."""
+    eye = np.eye(dim)
+    frames = [eye] + [eye[:, :m] for m in range(1, dim)]
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, count)):
+        qmat, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        frames.append(qmat[:, :int(rng.integers(1, dim + 1))] if random_width else qmat)
+    return frames
 
 
 def weyl_numbers(T, budget=16, seed=0):
@@ -137,21 +146,9 @@ def weyl_numbers(T, budget=16, seed=0):
         return SNumberSequence("weyl", s[:k], ["exact"] * k,
                                meta={"witness": "identity (partial isometry)"})
 
-    dim = T.domain.dim
-    rng = np.random.default_rng(seed)
-    candidates = [np.eye(dim)]
-    for m in range(1, dim):
-        candidates.append(np.eye(dim)[:, :m])
-    for _ in range(max(0, budget)):
-        g = rng.standard_normal((dim, dim))
-        qmat, _ = np.linalg.qr(g)
-        candidates.append(qmat)
-
-    from .spaces import NormedSpace, lp
-
     best = np.zeros(k)
     best_wit = [None] * k
-    for u in candidates:
+    for u in _coordinate_frames(T.domain.dim, budget, seed):
         c = _contraction_upper(u, T.domain)
         if c == 0.0:
             continue

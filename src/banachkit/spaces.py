@@ -8,6 +8,10 @@ ambient norm.
 
 The l_{p,inf} and weak families are quasi-norms and are flagged as such
 with an explicit quasi-triangle constant.
+
+The exact routes of linmaps and snumbers dispatch on the capability
+properties of a space (is_euclidean, is_l1, is_linf), never on family
+strings; a SubspaceSpace has none of them.
 """
 
 import math
@@ -232,18 +236,23 @@ class NormedSpace:
         """Widest row a norm_rows call forms: the rows it is given."""
         return self.dim
 
-    def unit(self, x):
-        x = np.asarray(x, dtype=float)
-        nrm = self.norm(x)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return x / nrm
-
     @property
     def is_euclidean(self):
         return (self.space.family == "lp" and self.space.p == 2.0) or (
             self.space.family == "lorentz" and self.space.p == 2.0 and self.space.q == 2.0
         )
+
+    @property
+    def is_l1(self):
+        """True for l_1^n, whose unit ball is the convex hull of the signed
+        coordinate vectors."""
+        return self.space.family == "lp" and self.space.p == 1.0
+
+    @property
+    def is_linf(self):
+        """True for l_inf^n, whose unit ball is the sign cube and whose
+        norm is the largest coordinate modulus."""
+        return self.space.family == "lp" and self.space.p == math.inf
 
     @property
     def is_quasi(self):
@@ -314,15 +323,16 @@ class SubspaceSpace:
         space, which may be far wider than the subspace."""
         return max(self.dim, self.ambient.row_width)
 
-    def unit(self, x):
-        x = np.asarray(x, dtype=float)
-        nrm = self.norm(x)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return x / nrm
-
     @property
     def is_euclidean(self):
+        return False
+
+    @property
+    def is_l1(self):
+        return False
+
+    @property
+    def is_linf(self):
         return False
 
     @property

@@ -16,13 +16,13 @@ from .gauges import (alternative_classify, best_k, lorentz_cotype_report,
                      opt_gauge, iterated_log_bound, self_concavity_check,
                      submultiplicativity_check, tensor_square)
 from .growth import GrowthSequence, g_q, tilde_g, tower, tower_index, validate_growth
-from .linmaps import LinearMap, identity_map, operator_norm
+from .linmaps import LinearMap, identity_map, operator_norm, weak_lq_upper
 from .pipeline import revalidate, run_pipeline
 from .reports import ASSERT, OBSERVE, SuiteReport
 from .search import child_seeds
 from .sequences import lorentz_norm, rearrange
 from .snumbers import eigenvalue_sequence, pi2_by_approx_bound
-from .spaces import NormedSpace, gweak, lorentz, lp
+from .spaces import NormedSpace, gweak, lorentz, lp, parse_family
 from .summing import (C_delta, H_constant, constant_ledger,
                       equal_norm_premise_check, pi_pq_n, equal_norm_inequality,
                       weak_cotype_g)
@@ -295,8 +295,6 @@ def suite_pipeline(seed=0, budget=8, tol=0.0):
     rep = SuiteReport("pipeline", seed)
     g = GrowthSequence.power(0.5)
     ledger = constant_ledger(g, H=1.0, K=1.0)
-    from .linmaps import weak_lq_upper
-
     for fam, name in ((lp(2), "l2"), (lp(1), "l1")):
         space = NormedSpace(fam, 32)
         # scale the coordinate basis into the weak-2 premise
@@ -488,8 +486,6 @@ def suite_main_theorem(family="lp:2", q=2.0, dims=(4, 9, 16), budget=0, seed=0, 
     rep = SuiteReport("main-theorem", seed)
     q = float(q)
     g = GrowthSequence.power(1.0 / q)
-    from .spaces import parse_family
-
     fam, _ = parse_family(family)
     euclidean_regression = family in ("lp:2", "lp:2.0") and q == 2.0
     for n in dims:
@@ -509,8 +505,6 @@ def suite_main_theorem(family="lp:2", q=2.0, dims=(4, 9, 16), budget=0, seed=0, 
                   bound=1.0, seed=seed)
 
         config = np.eye(int(n))
-        from .linmaps import weak_lq_upper
-
         scale = weak_lq_upper(config, space, 2.0)
         pre = equal_norm_premise_check(config / scale, T, g, samples=20_000,
                                        seed=child_seeds(seed, 1)[0])

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averages import gaussian_average, rademacher_average
-from .estimates import Estimate, LOWER
+from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
 from .linmaps import ENUM_CAP, identity_map, sign_norms, sign_patterns, weak_lq_upper
 from .search import child_seeds, multistart_maximize
+from .snumbers import _approx_lower_from_l2, _coordinate_frames
 from .spaces import gweak
 
 __all__ = [
@@ -53,24 +54,29 @@ def _structured_configs(space, n):
     return [coords, repeated, ones]
 
 
-def _config_search(objective, space, n, budget, seed, structured=None):
-    structured = structured if structured is not None else _structured_configs(space, n)
-
+def _config_search(objective, space, n, budget, seed):
     def project(c):
-        c = c.reshape(n, space.dim)
         m = np.max(np.abs(c))
         return None if m == 0.0 else c / m
 
-    val, wit = multistart_maximize(
-        lambda c: objective(c.reshape(n, space.dim)),
-        shape=(n, space.dim),
-        structured=structured,
-        budget=budget,
-        seed=seed,
-        project=project,
-        random_start=lambda rng: rng.standard_normal((n, space.dim)),
-    )
-    return val, wit.reshape(n, space.dim)
+    return multistart_maximize(objective, shape=(n, space.dim),
+                               structured=_structured_configs(space, n),
+                               budget=budget, seed=seed, project=project)
+
+
+def _summing_search(T, q, n, numerator, budget, seed):
+    """Maximize numerator(image norms) over the weak l_q moment of
+    n-vector configurations; returns (value, configuration scaled to
+    weak l_q moment 1)."""
+    dom, cod = T.domain, T.codomain
+    A = np.asarray(T.matrix, dtype=float)
+
+    def objective(config):
+        den = weak_lq_upper(config, dom, q)
+        return numerator(cod.norm_rows(config @ A.T)) / den if den > 0 else -np.inf
+
+    val, wit = _config_search(objective, dom, n, budget, seed)
+    return val, wit / weak_lq_upper(wit, dom, q)
 
 
 def pi_pq_n(T, p, q, n, budget=32, seed=0):
@@ -83,18 +89,8 @@ def pi_pq_n(T, p, q, n, budget=32, seed=0):
     p, q = float(p), float(q)
     if not (p >= q >= 1.0):
         raise ValueError("summing norms need p >= q >= 1")
-    dom, cod = T.domain, T.codomain
-    A = np.asarray(T.matrix, dtype=float)
-
-    def strong(config):
-        return float(np.sum(cod.norm_rows(config @ A.T) ** p) ** (1.0 / p))
-
-    def objective(config):
-        den = weak_lq_upper(config, dom, q)
-        return strong(config) / den if den > 0 else -np.inf
-
-    val, wit = _config_search(objective, dom, n, budget, seed)
-    wit = wit / weak_lq_upper(wit, dom, q)
+    val, wit = _summing_search(T, q, n, lambda norms: float(np.sum(norms**p) ** (1.0 / p)),
+                               budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"p": p, "q": q, "n": n})
 
@@ -105,18 +101,7 @@ def pi_Y1(T, Y, n, budget=32, seed=0):
     The best c with ||sum ||Tx_k|| e_k||_Y <= c sup_{x*} sum |<x*, x_k>|,
     witnessed by a configuration.
     """
-    dom, cod = T.domain, T.codomain
-    A = np.asarray(T.matrix, dtype=float)
-
-    def y_norm_of_images(config):
-        return Y.norm(cod.norm_rows(config @ A.T))
-
-    def objective(config):
-        den = weak_lq_upper(config, dom, 1.0)
-        return y_norm_of_images(config) / den if den > 0 else -np.inf
-
-    val, wit = _config_search(objective, dom, n, budget, seed)
-    wit = wit / weak_lq_upper(wit, dom, 1.0)
+    val, wit = _summing_search(T, 1.0, n, Y.norm, budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"Y": Y.describe(), "n": n})
 
@@ -201,21 +186,20 @@ def _ell_upper(u_matrix, X):
     return fro if X.is_euclidean else X.le_euclid() * fro
 
 
-def _approx_lower(B, codomain):
-    s = np.linalg.svd(B, compute_uv=False)
-    return s if codomain.is_euclidean else s / codomain.ge_euclid()
-
-
-def _u_candidates(dim, budget, seed):
-    cands = [np.eye(dim)]
-    for m in range(1, dim):
-        cands.append(np.eye(dim)[:, : m])
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, budget // 4)):
-        qmat, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        m = int(rng.integers(1, dim + 1))
-        cands.append(qmat[:, :m])
-    return cands
+def _best_frame(T, frames, score):
+    """First frame u maximizing score(a(Tu)) / ell(u): a(Tu) the certified
+    lower bounds on the approximation numbers, ell(u) a certified upper
+    bound. Returns (value, u); (-inf, None) if no frame scores."""
+    A = np.asarray(T.matrix, dtype=float)
+    best_val, best_u = -np.inf, None
+    for u in frames:
+        den = _ell_upper(u, T.domain)
+        if den == 0.0:
+            continue
+        v = score(_approx_lower_from_l2(A @ u, T.codomain)) / den
+        if v > best_val:
+            best_val, best_u = v, u
+    return best_val, best_u
 
 
 def weak_cotype_g(T, g, budget=16, seed=0):
@@ -228,21 +212,9 @@ def weak_cotype_g(T, g, budget=16, seed=0):
     A = np.asarray(T.matrix, dtype=float)
     if not np.any(A):
         return Estimate(0.0, "exact", witness=None, budget=0, seed=seed)
-    dim = T.domain.dim
-
-    def ratio(u):
-        den = _ell_upper(u, T.domain)
-        if den == 0.0:
-            return -np.inf
-        a = _approx_lower(A @ u, T.codomain)
-        ks = np.arange(1, len(a) + 1)
-        return float(np.max(g(ks) * a)) / den
-
-    best_val, best_u = -np.inf, None
-    for u in _u_candidates(dim, budget, seed):
-        v = ratio(u)
-        if v > best_val:
-            best_val, best_u = v, u
+    best_val, best_u = _best_frame(
+        T, _coordinate_frames(T.domain.dim, budget // 4, seed, random_width=True),
+        lambda a: float(np.max(g(np.arange(1, len(a) + 1)) * a)))
     return Estimate(float(best_val), LOWER, witness=best_u, budget=budget, seed=seed,
                     meta={"quantity": "weak cotype", "g": g.label})
 
@@ -257,18 +229,8 @@ def C_delta(T, g, delta, n, budget=16, seed=0):
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    A = np.asarray(T.matrix, dtype=float)
     idx = max(1, int(delta * n))  # 1-based index of the approximation number
     gn = float(g(n))
-
-    def ratio(u):
-        den = _ell_upper(u, T.domain)
-        if den == 0.0:
-            return -np.inf
-        a = _approx_lower(A @ u, T.codomain)
-        if idx > len(a):
-            return -np.inf
-        return gn * float(a[idx - 1]) / den
 
     # maps l_2^n -> X: rank-j coordinate projectors plus random frames
     dim = T.domain.dim
@@ -283,12 +245,8 @@ def C_delta(T, g, delta, n, budget=16, seed=0):
         if n <= dim:
             m, _ = np.linalg.qr(m)
         cands.append(m)
-
-    best_val, best_u = -np.inf, None
-    for u in cands:
-        v = ratio(u)
-        if v > best_val:
-            best_val, best_u = v, u
+    best_val, best_u = _best_frame(
+        T, cands, lambda a: gn * float(a[idx - 1]) if idx <= len(a) else -np.inf)
 
     s2 = validate_growth(g, max(2, n)).s2
     wc = weak_cotype_g(T, g, budget=budget, seed=seed)
@@ -312,7 +270,7 @@ class PremiseError(ValueError):
 
 
 @dataclass
-class PremiseReport:
+class PremiseReport(Record):
     accepted: bool
     weak2_upper: float
     min_image_norm: float
@@ -320,17 +278,6 @@ class PremiseReport:
     reasons: list = field(default_factory=list)
     average: object = None
     implied_constant: float | None = None
-
-    def to_dict(self):
-        return {
-            "accepted": self.accepted,
-            "weak2_upper": self.weak2_upper,
-            "min_image_norm": self.min_image_norm,
-            "floor": self.floor,
-            "reasons": list(self.reasons),
-            "average": None if self.average is None else self.average.to_dict(),
-            "implied_constant": self.implied_constant,
-        }
 
 
 def _premise(config, T, floor):
@@ -369,20 +316,13 @@ def equal_norm_premise_check(config, T, g, D=None, s2=1.0, samples=100_000, seed
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport(Record):
     lhs: float
     rhs: float
     holds: bool
     slack: float
     average: object
     wc_direction: str
-
-    def to_dict(self):
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-            "slack": self.slack, "average": self.average.to_dict(),
-            "wc_direction": self.wc_direction,
-        }
 
 
 def equal_norm_inequality(config, T, g, wc_estimate, rho, s2=1.0, samples=100_000, seed=0):
@@ -413,7 +353,7 @@ def equal_norm_inequality(config, T, g, wc_estimate, rho, s2=1.0, samples=100_00
 
 
 @dataclass
-class ConstantLedger:
+class ConstantLedger(Record):
     """Exact arithmetic of the constant chain from the stored inputs."""
 
     s2: float
@@ -432,11 +372,6 @@ class ConstantLedger:
     c2: float = 0.0
     c: float = 0.0
     note: str = ""
-
-    def to_dict(self):
-        return {f: getattr(self, f) for f in (
-            "s2", "s3", "s4", "l_t", "t", "m_r", "r", "h", "k",
-            "d", "a", "b", "c1", "c2", "c", "note")}
 
 
 def constant_ledger(g, H, K=1.0, s2=1.0, s3=1.0, s4=1.0, l_t=1.0, t=2.0, m_r=1.0, r=2):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from banachkit.cli import main
+from banachkit.cli import build_parser, main
 from banachkit.reports import SuiteReport
 from banachkit.suites import SUITES, run_suite
 
@@ -114,6 +114,21 @@ def test_report_json_and_csv(capsys, tmp_path):
     text = out_csv.read_text()
     assert text.splitlines()[0].startswith("suite,check,tier")
     assert "growth" in text
+
+
+def test_tol_and_format_belong_to_verify(capsys):
+    for argv in (["snum", "--domain", "lp:2:2", "--format", "csv"],
+                 ["norm", "lp:2", "--vec", "1", "--tol", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # verify leaves the budget to each suite unless one is given; the
+    # other subcommands keep their default of 32
+    parser = build_parser()
+    assert parser.parse_args(["verify", "norms"]).budget is None
+    assert parser.parse_args(["verify", "norms", "--budget", "32"]).budget == 32
+    assert parser.parse_args(["snum", "--domain", "lp:2:2"]).budget == 32
 
 
 def test_reports_reproduce_bitwise_given_seed():

@@ -151,6 +151,22 @@ def test_operator_norm_lower_route_is_witnessed():
     assert est.value <= est.meta["upper"] * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("ambient", ["lp:1:5", "lp:inf:5"])
+def test_operator_norm_out_of_a_subspace_searches(ambient):
+    # a subspace of l_1 or l_inf has other extreme points than its ambient
+    # space, so neither exact route applies: the search runs, tagged lower
+    rng = np.random.default_rng(4)
+    dom = SubspaceSpace(rng.standard_normal((5, 3)), parse_space(ambient))
+    cod = space(2, 3)
+    T = LinearMap(rng.standard_normal((3, 3)), dom, cod)
+    est = operator_norm(T, budget=8, seed=1)
+    assert est.direction == "lower"
+    w = np.asarray(est.witness)
+    assert dom.norm(w) == pytest.approx(1.0, rel=1e-12)
+    assert cod.norm(T.apply(w)) == pytest.approx(est.value, rel=1e-12)
+    assert est.value <= est.meta["upper"]
+
+
 def test_operator_norm_submultiplicative():
     rng = np.random.default_rng(6)
     for _ in range(20):

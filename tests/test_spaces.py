@@ -146,3 +146,16 @@ def test_descriptor_grammar(tmp_path):
                 parse_space("lorentz:2")  # missing q entirely
             else:
                 parse_space(bad)
+
+
+@pytest.mark.parametrize("descriptor, l1, linf", [
+    ("lp:1:3", True, False), ("lp:inf:3", False, True), ("lp:2:3", False, False),
+    ("lp:1.5:3", False, False), ("lorentz:2:1:3", False, False),
+    ("lorentz:2:inf:3", False, False), ("gweak:pow:0.5:3", False, False),
+])
+def test_l1_and_linf_capabilities(descriptor, l1, linf):
+    X = parse_space(descriptor)
+    assert (X.is_l1, X.is_linf) == (l1, linf)
+    # a subspace keeps neither the extreme points nor the coordinate functionals
+    sub = SubspaceSpace(np.eye(3)[:, :2], X)
+    assert (sub.is_l1, sub.is_linf) == (False, False)
