@@ -233,20 +233,21 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write a structured report here")
-    # verify leaves --budget to each suite, so it is not in common:
-    # set_defaults on an action shared through a parent changes it everywhere
+    # --budget only where a search uses it; verify leaves it to each
+    # suite, so it is not in common either: set_defaults on an action
+    # shared through a parent changes it everywhere
     budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
     budgeted.add_argument("--budget", type=int, default=32)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", parents=[budgeted], help="evaluate a sequence norm")
+    p = sub.add_parser("norm", parents=[common], help="evaluate a sequence norm")
     p.add_argument("descriptor")
     p.add_argument("--vec", help="comma-separated entries")
     p.add_argument("--vec-file")
     p.set_defaults(fn=cmd_norm)
 
-    p = sub.add_parser("growth", parents=[budgeted], help="validate a growth sequence")
+    p = sub.add_parser("growth", parents=[common], help="validate a growth sequence")
     p.add_argument("descriptor", help="gweak:pow:<a>:<N> or gweak:file:<path>:<N>")
     p.add_argument("--check", help="comma list of S, L:<t>, M:<r>")
     p.add_argument("--tilde", help="r:n")
@@ -267,7 +268,7 @@ def build_parser():
     p.add_argument("--growth")
     p.set_defaults(fn=cmd_eig)
 
-    p = sub.add_parser("avg", parents=[budgeted], help="sign / gaussian averages")
+    p = sub.add_parser("avg", parents=[common], help="sign / gaussian averages")
     p.add_argument("--space", required=True)
     p.add_argument("--config-file")
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")

@@ -51,6 +51,12 @@ def _gauge_objective(tau, space, kind):
         raise ValueError("kind must be 'summing' or 'cotype'")
 
     def value(config):
+        """Gauge value of one (m, dim) configuration, or the values of a
+        (k, m, dim) stack of them without zero rows."""
+        if config.ndim == 3:
+            r_min = np.min(space.norm_rows(config.reshape(-1, config.shape[-1])).reshape(-1, m),
+                           axis=1)
+            return reduce(sign_norms(weighted, config, space), axis=1) / r_min
         # rows are only approximately unit after projection; dividing by
         # the smallest row norm keeps the value a certified upper bound
         # (weights tau_k / r_k <= tau_k / r_min, then the contraction
@@ -115,6 +121,15 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
             return None
         return c / norms[:, None]
 
+    def rows(P):
+        # project, with the row norms of norm_rows, then value
+        C = P.reshape(-1, m, dim)
+        norms = space.norm_rows(P.reshape(-1, dim)).reshape(-1, m)
+        out = np.full(C.shape[0], -np.inf)
+        ok = np.all(norms != 0.0, axis=1)
+        out[ok] = -value(C[ok] / norms[ok, :, None])
+        return out
+
     structured = [
         np.tile(eye[0], (m, 1)),
         np.array([eye[k % dim] for k in range(m)]),
@@ -130,6 +145,7 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
         budget=budget,
         seed=seed,
         project=project,
+        rows=rows,
     )
     return GaugeValue(float(-val), witness=wit, budget=budget,
                       seed=seed, meta={"kind": kind, "support": m})

@@ -54,19 +54,40 @@ def sign_patterns(n):
 def sign_norms(signs, config, space):
     """space.norm_rows(signs @ config), computed in row blocks.
 
+    config is one (n, dim) configuration, or a (k, n, dim) stack of them;
+    a stack gives the (k, len(signs)) norms of each configuration.
+
     Each block holds at most SIGN_BLOCK entries of the widest array
     formed on it: the block of signs as floats, signs @ config, or the
     rows space.norm_rows forms from that (a subspace maps them into its
     ambient space). The temporaries so stay the same size whatever the
-    dimension. The rows per
-    block are a power of two, which splits a sign_patterns table into
-    equal blocks and never leaves a one-row tail (numpy hands that to
-    gemv, which rounds differently from gemm). Up to a few hundred
-    coordinates the row norms then equal those of the one-shot product
-    bit for bit; past that BLAS may round a block in another order.
+    dimension. The rows per block are a power of two, which splits a
+    sign_patterns table into equal blocks and never leaves a one-row
+    tail (numpy hands that to gemv, which rounds differently from gemm).
+    Up to a few hundred coordinates the row norms then equal those of
+    the one-shot product bit for bit; past that BLAS may round a block
+    in another order. A stack is multiplied whole tables at a time, as
+    many configurations per block as fit; once one table fills a block,
+    each configuration takes the one-configuration path. A stack so
+    gives the norms of its configurations one by one, bit for bit within
+    the same limit.
     """
-    width = max(signs.shape[1], config.shape[1], space.row_width)
+    width = max(signs.shape[1], config.shape[-1], space.row_width)
     rows = 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
+    if config.ndim == 3:
+        m = signs.shape[0]
+        out = np.empty((config.shape[0], m))
+        if m >= rows:
+            for i, c in enumerate(config):
+                out[i] = sign_norms(signs, c, space)
+            return out
+        step = rows // m
+        table = np.asarray(signs, dtype=float)
+        for start in range(0, config.shape[0], step):
+            prod = np.matmul(table, config[start:start + step])
+            out[start:start + step] = space.norm_rows(
+                prod.reshape(-1, config.shape[-1])).reshape(-1, m)
+        return out
     out = np.empty(signs.shape[0])
     for start in range(0, signs.shape[0], rows):
         # an explicit float block: numpy multiplies a mixed int8 x float
@@ -243,24 +264,34 @@ def _weak_moment(config, x_star, q):
 
 def weak_lq_upper(config, space, q):
     """Certified upper bound on sup over the dual unit ball of the
-    weak l_q moment of a configuration."""
+    weak l_q moment of a configuration.
+
+    config is one (n, dim) configuration, or a (k, n, dim) stack of
+    them with one bound each. A stack takes its vector norms from
+    norm_rows; one configuration takes them from norm, whose last bits
+    set the witness normalization of the summing searches.
+    """
     config = np.asarray(config, dtype=float)
-    n = config.shape[0]
-    norms = np.array([space.norm(x) for x in config])
+    stacked = config.ndim == 3
+    n, dim = config.shape[-2:]
+    if stacked:
+        norms = space.norm_rows(config.reshape(-1, dim)).reshape(-1, n)
+    else:
+        norms = np.array([space.norm(x) for x in config])
     if q == math.inf:
-        return float(np.max(norms))
-    bounds = [float(np.sum(norms**q) ** (1.0 / q))]
-    if space.is_euclidean:
-        smax = float(np.linalg.svd(config, compute_uv=False)[0]) if np.any(config) else 0.0
-        if q >= 2.0:
-            bounds.append(smax)
-        else:
-            bounds.append(n ** (1.0 / q - 0.5) * smax)
-    if n <= ENUM_CAP:
-        # weak-1 moment equals the sign sup of the configuration, and
-        # dominates every weak-q moment for q >= 1
-        bounds.append(float(np.max(sign_norms(sign_patterns(n), config, space))))
-    return min(bounds)
+        bound = np.max(norms, axis=-1)
+    else:
+        bounds = [np.sum(norms**q, axis=-1) ** (1.0 / q)]
+        if space.is_euclidean:
+            smax = np.linalg.svd(config, compute_uv=False)[..., 0] \
+                if stacked or np.any(config) else 0.0
+            bounds.append(smax if q >= 2.0 else n ** (1.0 / q - 0.5) * smax)
+        if n <= ENUM_CAP:
+            # weak-1 moment equals the sign sup of the configuration, and
+            # dominates every weak-q moment for q >= 1
+            bounds.append(np.max(sign_norms(sign_patterns(n), config, space), axis=-1))
+        bound = np.min(bounds, axis=0)
+    return bound if stacked else float(bound)
 
 
 def weak_lq_functional(config, space, q, budget=32, seed=0):
@@ -302,6 +333,14 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
         du = space.dual_upper(z)
         return None if du == 0.0 else z / du
 
+    def rows(Z):
+        du = space.dual_upper_rows(Z)
+        out = np.full(Z.shape[0], -np.inf)
+        ok = du != 0.0
+        a = np.abs((Z[ok] / du[ok, None]) @ config.T)
+        out[ok] = np.max(a, axis=1) if q == math.inf else np.sum(a**q, axis=1) ** (1.0 / q)
+        return out
+
     structured = list(np.eye(dim))
     structured.append(config.sum(axis=0))
     val, wit = multistart_maximize(
@@ -311,6 +350,7 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
         budget=budget,
         seed=seed,
         project=project,
+        rows=rows,
     )
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"upper": upper})

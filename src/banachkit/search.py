@@ -6,16 +6,17 @@ coordinate ascent (single-entry perturbations with a shrinking step).
 Every candidate is scored, so results are a deterministic function of
 the master seed.
 
-A caller that can score many proposals at once passes a batch evaluator
-`rows`. The starts are then scored as one block, and so are the
-proposals still ahead in each polish sweep: the first proposal that
-improves is taken and the block is rebuilt from the new point at the
-next entry. Batch scores may differ from the scalar objective in the
-last bits, so they only pick rows: every accepted point is made by the
-scalar `project`, a score too close to call is settled by the scalar
+Every caller passes a batch evaluator `rows` that scores many proposals
+at once. The starts are scored as one block, and so are the proposals
+still ahead in each polish sweep: the first proposal that improves is
+taken and the block is rebuilt from the new point at the next entry.
+Batch scores may differ from the scalar objective in the last bits, so
+they only pick rows: every accepted point is made by the scalar
+`project`, a score too close to call is settled by the scalar
 `objective`, and the value returned is objective(witness), re-read from
 the witness. The search therefore takes the same path, and returns the
-same witness and value, as it would without `rows`.
+same witness and value, as a search that scored every proposal one at a
+time by project and objective.
 """
 
 import numpy as np
@@ -61,35 +62,33 @@ def _first_gain(P, x, score, value, objective, project, vals):
 
     x has batch score `score` (its value, where no batch scored it) and
     value objective(x), or None while nothing has needed it. vals holds
-    the batch scores of the rows of P, or is None to decide every row
-    by the scalar oracle. A batch score further than the slack from the
-    threshold decides a row alone; a closer one is decided by the scalar
-    values, as the search without a batch would decide it.
+    the batch scores of the rows of P. A batch score further than the
+    slack from the threshold decides a row alone; a closer one is
+    decided by the scalar values, as a one-at-a-time search would
+    decide it.
 
     Returns (row, point, score, value) of the gain, its value None if
     only the batch scored it; (None, x, score, value) if no row gains.
     """
     floor = score + 1e-15
     slack = SCREEN_SLACK * abs(floor)
-    undecided = range(P.shape[0]) if vals is None else np.flatnonzero(~(vals <= floor - slack))
-    for i in undecided:
+    for i in np.flatnonzero(~(vals <= floor - slack)):
         cand = project(P[i].reshape(x.shape))
         if cand is None:
             continue
-        if vals is not None:
-            if vals[i] > floor + slack:
-                return i, cand, vals[i], None
-            if np.array_equal(cand, x):  # a proposal projected back onto x
-                continue
-            if value is None:
-                value = objective(x)
+        if vals[i] > floor + slack:
+            return i, cand, vals[i], None
+        if np.array_equal(cand, x):  # a proposal projected back onto x
+            continue
+        if value is None:
+            value = objective(x)
         v = objective(cand)
         if v > value + 1e-15:
             return i, cand, v, v
     return None, x, score, value
 
 
-def _polish(x, value, objective, project, sweeps, rng, rows=None):
+def _polish(x, value, objective, project, sweeps, rng, rows):
     """Greedy coordinate ascent on the flattened entries of x.
 
     A sweep visits up to MAX_PROPOSALS // 2 entries in a random order
@@ -97,7 +96,7 @@ def _polish(x, value, objective, project, sweeps, rng, rows=None):
     that beats the current value by more than 1e-15 is taken and the
     sweep goes on at the next entry. A sweep without a gain halves the
     step. The proposals still ahead in a sweep form one block scored by
-    rows; without rows a block holds one proposal.
+    rows.
 
     Returns (objective(x), x) for the final point x.
     """
@@ -112,15 +111,12 @@ def _polish(x, value, objective, project, sweeps, rng, rows=None):
         improved = False
         j = 0
         while j < entries.size:
-            stop = entries.size if rows is not None else j + 1
-            flat, moved = x.ravel(), entries[j:stop]
-            P = flat[None].repeat(stop - j, axis=0)
-            P[np.arange(stop - j), moved] = flat[moved] + deltas[j:stop]
-            i, x, score, value = _first_gain(P, x, score, value, objective, project,
-                                             None if rows is None else rows(P))
+            flat, moved = x.ravel(), entries[j:]
+            P = flat[None].repeat(moved.size, axis=0)
+            P[np.arange(moved.size), moved] = flat[moved] + deltas[j:]
+            i, x, score, value = _first_gain(P, x, score, value, objective, project, rows(P))
             if i is None:
-                j = stop
-                continue
+                break
             improved = True
             j = 2 * ((j + i) // 2 + 1)  # skip the other sign at this entry
         if not improved:
@@ -130,8 +126,8 @@ def _polish(x, value, objective, project, sweeps, rng, rows=None):
     return (objective(x) if value is None else value), x
 
 
-def multistart_maximize(objective, *, shape, structured=(), budget=0, seed=0,
-                        project=None, random_start=None, rows=None):
+def multistart_maximize(objective, *, shape, rows, structured=(), budget=0, seed=0,
+                        project=None, random_start=None):
     """Maximize objective over arrays of the given shape.
 
     objective: array -> float (larger is better); may return -inf to
@@ -140,7 +136,7 @@ def multistart_maximize(objective, *, shape, structured=(), budget=0, seed=0,
     project: map an arbitrary array back into the feasible set (return
         None to reject); defaults to identity.
     random_start: rng -> array; defaults to standard normal entries.
-    rows: optional batch evaluator. It takes a (k, size) stack of raw,
+    rows: batch evaluator. It takes a (k, size) stack of raw,
         unprojected proposals, each flattened from `shape`, and returns
         objective(project(p)) for every row p, with -inf where project
         would reject p. It may differ from the scalar value in the last
@@ -162,8 +158,8 @@ def multistart_maximize(objective, *, shape, structured=(), budget=0, seed=0,
 
     starts = [np.array(s, dtype=float) for s in structured]
     starts += [random_start(np.random.default_rng(s)) for s in seeds[:-1]]
-    keep = range(len(starts))
-    if rows is not None and starts:
+    keep = []
+    if starts:
         # only starts within the slack of the best batch score can be
         # the first maximum of the scalar objective
         vals = rows(np.array([s.ravel() for s in starts]))

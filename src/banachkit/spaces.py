@@ -170,6 +170,20 @@ class SeqSpace:
         # weighted l_q pairing gives <x,y> <= ||x||_{p,q} ||y||_{p',q'}
         return lorentz_norm(y, _conjugate(self.p), _conjugate(self.q))
 
+    def dual_upper_rows(self, m):
+        """dual_upper of every row of a 2-d array, up to rounding."""
+        m = np.asarray(m, dtype=float)
+        if self.family == "lp":
+            return SeqSpace("lp", p=_conjugate(self.p)).norm_rows(m)
+        if self.family == "lorentz" and self.q != math.inf:
+            return SeqSpace("lorentz", p=_conjugate(self.p), q=_conjugate(self.q)).norm_rows(m)
+        # the closed forms of dual_exact: the rearrangement against the
+        # extreme profile k^(-1/p) or 1/g(k)
+        s = -np.sort(-np.abs(m), axis=1)
+        ks = np.arange(1, m.shape[1] + 1)
+        w = ks ** (-1.0 / self.p) if self.family == "lorentz" else 1.0 / self.g(ks)
+        return np.sum(s * w, axis=1)
+
 
 def lp(p):
     return SeqSpace("lp", p=float(p))
@@ -282,6 +296,9 @@ class NormedSpace:
     def dual_upper(self, y):
         return self.space.dual_upper(self._check(y))
 
+    def dual_upper_rows(self, m):
+        return self.space.dual_upper_rows(self._check(m))
+
     def describe(self):
         return f"{self.space.describe()}:{self.dim}"
 
@@ -351,6 +368,9 @@ class SubspaceSpace:
     def dual_upper(self, y):
         # <c, y> <= ||c||_2 ||y||_2 <= ge_euclid ||c||_X ||y||_2
         return self.ge_euclid() * float(np.linalg.norm(y))
+
+    def dual_upper_rows(self, m):
+        return self.ge_euclid() * np.linalg.norm(m, axis=1)
 
     def describe(self):
         return f"sub:{self.dim}<{self.ambient.describe()}"

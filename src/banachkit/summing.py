@@ -54,20 +54,33 @@ def _structured_configs(space, n):
     return [coords, repeated, ones]
 
 
-def _config_search(objective, space, n, budget, seed):
+def _config_search(objective, batch, space, n, budget, seed):
+    """Maximize objective over n-vector configurations scaled to largest
+    entry 1; batch(C) is objective of each configuration of a (k, n, dim)
+    stack C of such configurations, up to rounding. Their denominators
+    are never 0, so batch needs no guard for it."""
     def project(c):
         m = np.max(np.abs(c))
         return None if m == 0.0 else c / m
 
+    def rows(P):
+        C = P.reshape(-1, n, space.dim)
+        m = np.max(np.abs(C), axis=(1, 2))
+        out = np.full(C.shape[0], -np.inf)
+        ok = m != 0.0
+        out[ok] = batch(C[ok] / m[ok, None, None])
+        return out
+
     return multistart_maximize(objective, shape=(n, space.dim),
                                structured=_structured_configs(space, n),
-                               budget=budget, seed=seed, project=project)
+                               budget=budget, seed=seed, project=project, rows=rows)
 
 
-def _summing_search(T, q, n, numerator, budget, seed):
+def _summing_search(T, q, n, numerator, numerator_rows, budget, seed):
     """Maximize numerator(image norms) over the weak l_q moment of
     n-vector configurations; returns (value, configuration scaled to
-    weak l_q moment 1)."""
+    weak l_q moment 1). numerator_rows is numerator on each row of a
+    2-d array of image norms."""
     dom, cod = T.domain, T.codomain
     A = np.asarray(T.matrix, dtype=float)
 
@@ -75,7 +88,11 @@ def _summing_search(T, q, n, numerator, budget, seed):
         den = weak_lq_upper(config, dom, q)
         return numerator(cod.norm_rows(config @ A.T)) / den if den > 0 else -np.inf
 
-    val, wit = _config_search(objective, dom, n, budget, seed)
+    def batch(C):
+        norms = cod.norm_rows(C.reshape(-1, dom.dim) @ A.T).reshape(-1, n)
+        return numerator_rows(norms) / weak_lq_upper(C, dom, q)
+
+    val, wit = _config_search(objective, batch, dom, n, budget, seed)
     return val, wit / weak_lq_upper(wit, dom, q)
 
 
@@ -90,7 +107,7 @@ def pi_pq_n(T, p, q, n, budget=32, seed=0):
     if not (p >= q >= 1.0):
         raise ValueError("summing norms need p >= q >= 1")
     val, wit = _summing_search(T, q, n, lambda norms: float(np.sum(norms**p) ** (1.0 / p)),
-                               budget, seed)
+                               lambda N: np.sum(N**p, axis=1) ** (1.0 / p), budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"p": p, "q": q, "n": n})
 
@@ -101,7 +118,7 @@ def pi_Y1(T, Y, n, budget=32, seed=0):
     The best c with ||sum ||Tx_k|| e_k||_Y <= c sup_{x*} sum |<x*, x_k>|,
     witnessed by a configuration.
     """
-    val, wit = _summing_search(T, 1.0, n, Y.norm, budget, seed)
+    val, wit = _summing_search(T, 1.0, n, Y.norm, Y.norm_rows, budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"Y": Y.describe(), "n": n})
 
@@ -157,7 +174,15 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
             return -np.inf
         return float(np.sum(X.norm_rows(config) ** q) ** (1.0 / q)) / den
 
-    val, wit = _config_search(objective, X, n, budget, seed)
+    # a stack meets the same sign table, or the same sample z (common
+    # random numbers), through the stacked sign_norms
+    draws = signs if use_enum else z
+
+    def batch(C):
+        num = np.sum(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n) ** q, axis=1) ** (1.0 / q)
+        return num / np.mean(sign_norms(draws, C, X), axis=1)
+
+    val, wit = _config_search(objective, batch, X, n, budget, seed)
 
     if use_enum:
         return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,

@@ -131,6 +131,17 @@ def test_tol_and_format_belong_to_verify(capsys):
     assert parser.parse_args(["snum", "--domain", "lp:2:2"]).budget == 32
 
 
+@pytest.mark.parametrize("argv", [["norm", "lp:2", "--vec", "3,4"],
+                                  ["growth", "gweak:pow:0.5:8"],
+                                  ["avg", "--space", "lp:2:4"]])
+def test_budget_is_refused_where_no_search_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 def test_reports_reproduce_bitwise_given_seed():
     a = run_suite("rademacher", seed=123)
     b = run_suite("rademacher", seed=123)

@@ -86,6 +86,40 @@ def test_subspace_sign_average_memory_stays_bounded():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("k, n, dim", [(5, 3, 4), (9, 6, 40), (40, 8, 300), (3, 10, 512)])
+def test_stacked_sign_norms_equal_the_one_config_ones(k, n, dim):
+    # (40, 8, 300): ten blocks of four tables; (3, 10, 512): one table of
+    # 512 rows fills a whole block alone. A subspace multiplies its rows
+    # by the basis, a product over all dim coordinates, which BLAS may
+    # round another way in a taller block past a few hundred of them
+    rng = np.random.default_rng(k + n)
+    stack = rng.standard_normal((k, n, dim))
+    table = sign_patterns(n)
+    tau = rng.uniform(0.1, 2.0, n)
+    spaces = [parse_space(f"lp:3:{dim}"), parse_space(f"lorentz:2:1:{dim}")]
+    if dim <= 64:
+        spaces.append(SubspaceSpace(rng.standard_normal((dim + 5, dim)),
+                                    parse_space(f"lp:3:{dim + 5}")))
+    for sp in spaces:
+        for signs in (table, table * tau):
+            got = sign_norms(signs, stack, sp)
+            assert got.shape == (k, signs.shape[0])
+            for c, row in zip(stack, got):
+                assert np.array_equal(row, sign_norms(signs, c, sp))
+
+
+def test_stacked_sign_norms_memory_stays_bounded():
+    stack = np.random.default_rng(9).standard_normal((2, 16, 512))
+    tracemalloc.start()
+    try:
+        sign_norms(sign_patterns(16), stack, parse_space("lp:3:512"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one stacked product would be 2 x 2^15 x 512 floats (268 MB)
+    assert peak < 64 * 2**20
+
+
 def test_enumerated_witnesses_do_not_hold_the_pattern_table(monkeypatch):
     tables = []
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gweak, linmaps,
-                       lorentz, lp, operator_norm)
+from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gauges, gweak,
+                       identity_map, linmaps, lorentz, lp, operator_norm, summing)
 from banachkit.growth import GrowthSequence
 from banachkit.search import child_seeds, multistart_maximize, split_budget
 
@@ -188,3 +188,62 @@ def test_search_with_every_start_rejected_still_raises():
     with pytest.raises(ValueError, match="rejected by the objective"):
         multistart_maximize(lambda x: -np.inf, shape=(3,), structured=[np.ones(3)], budget=8,
                             rows=rejected)
+
+
+def reference_run(monkeypatch, module, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with module's search replaced by the scalar
+    reference."""
+    with monkeypatch.context() as m:
+        m.setattr(module, "multistart_maximize", reference_maximize)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["summing", "cotype"])
+def test_gauge_search_matches_the_scalar_reference(kind, monkeypatch):
+    # supports 3 and 4 have a Hadamard start in dimension 5; 5 has none
+    rng = np.random.default_rng(300)
+    for space in families(5):
+        for m in range(1, 6):
+            tau = rng.uniform(0.2, 1.0, m)
+            new = gauges.opt_gauge(tau, space, kind, budget=8, seed=m)
+            ref = reference_run(monkeypatch, gauges, gauges.opt_gauge, tau, space, kind,
+                                budget=8, seed=m)
+            assert_same_estimate(new, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_summing_searches_match_the_scalar_reference(n, monkeypatch):
+    Y = NormedSpace(gweak(GrowthSequence.power(0.5)), n)
+    for i, space in enumerate(families(4)):
+        T = identity_map(space)
+        for p, q in ((1.0, 1.0), (2.0, 1.0), (2.0, 2.0)):
+            new = summing.pi_pq_n(T, p, q, n, budget=8, seed=i)
+            ref = reference_run(monkeypatch, summing, summing.pi_pq_n, T, p, q, n, budget=8,
+                                seed=i)
+            assert_same_estimate(new, ref)
+        new = summing.pi_Y1(T, Y, n, budget=8, seed=i)
+        ref = reference_run(monkeypatch, summing, summing.pi_Y1, T, Y, n, budget=8, seed=i)
+        assert_same_estimate(new, ref)
+
+
+@pytest.mark.parametrize("variable", ["rademacher", "gaussian"])
+def test_cotype_search_matches_the_scalar_reference(variable, monkeypatch):
+    kwargs = dict(budget=8, variable=variable, samples=300, final_samples=500)
+    for i, space in enumerate(families(4)):
+        for q, n in ((2.0, 3), (3.0, 4)):
+            new = summing.cotype_q_constant(space, q, n, seed=i, **kwargs)
+            ref = reference_run(monkeypatch, summing, summing.cotype_q_constant, space, q, n,
+                                seed=i, **kwargs)
+            assert_same_estimate(new, ref)
+
+
+@pytest.mark.parametrize("q, n", [(1.5, 4), (2.0, 4), (3.0, 5), (math.inf, 3), (1.0, 22)])
+def test_weak_lq_search_matches_the_scalar_reference(q, n, monkeypatch):
+    rng = np.random.default_rng(400 + n)
+    for i, space in enumerate(families(6)):
+        config = rng.standard_normal((n, 6))
+        new = linmaps.weak_lq_functional(config, space, q, budget=16, seed=i)
+        ref = reference_run(monkeypatch, linmaps, linmaps.weak_lq_functional, config, space,
+                            q, budget=16, seed=i)
+        assert new.direction == "lower"
+        assert_same_estimate(new, ref)

@@ -107,6 +107,28 @@ def test_dual_upper_dominates_search_witnesses():
         assert abs(float(x @ y)) <= upper * (1 + 1e-10)
 
 
+@pytest.mark.parametrize("family", ["lp:1", "lp:1.5", "lp:2", "lp:3", "lp:inf", "lorentz:2:1",
+                                    "lorentz:3:2", "lorentz:1:2", "lorentz:1.5:4",
+                                    "lorentz:2:inf", "gweak:pow:0.5", "gweak:file"])
+def test_dual_upper_rows_match_dual_upper(family, tmp_path):
+    if family == "gweak:file":
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{k} {k ** 0.4 + 0.1 * (k > 1)}\n" for k in range(1, 7)))
+        family = f"gweak:file:{path}"
+    X = parse_space(f"{family}:6")
+    rng = np.random.default_rng(len(family))
+    m = rng.standard_normal((12, 6))
+    m[rng.random(m.shape) < 0.2] = 0.0
+    m[3] = 0.0
+    sub = SubspaceSpace(rng.standard_normal((6, 4)), X)
+    for space, rows in ((X, m), (sub, m[:, :4])):
+        got = space.dual_upper_rows(rows)
+        assert got.shape == (12,)
+        for row, value in zip(rows, got):
+            assert value == pytest.approx(space.dual_upper(row), rel=1e-12, abs=0.0)
+        assert got[3] == 0.0
+
+
 def test_norm_rows_matches_scalar_norm():
     rng = np.random.default_rng(12)
     m = rng.standard_normal((10, 5))
