@@ -3,9 +3,11 @@
 Operator norms are exact where a closed form exists (Euclidean to
 Euclidean, out of l_1, into l_inf, out of a small l_inf cube) and are
 otherwise reported as witnessed lower bounds with a companion upper
-bound from Euclidean comparison constants. The searches behind the
-operator and dual norms score whole blocks of proposals through
-norm_rows (see search.multistart_maximize).
+bound from Euclidean comparison constants; meta["route"] names the
+route (see operator_norm). Out of a larger l_inf cube the lower bound
+comes from single-flip ascent over the cube's vertices, everywhere else
+from the sphere search of search.multistart_maximize. Both score whole
+blocks of proposals through norm_rows.
 
 Every sign enumeration of the package goes through sign_norms, which
 streams the product of a pattern table and a configuration in row
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from .estimates import Estimate, EXACT, LOWER
-from .search import multistart_maximize
+from .search import child_seeds, multistart_maximize, split_budget
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "dual_norm",
            "weak_lq_functional", "ENUM_CAP", "sign_norms"]
@@ -161,62 +163,125 @@ def _on_sphere(space, f):
     return rows
 
 
+def _vertex_ascent(A, cod, budget, seed):
+    """Best vertex of the sign cube for x -> cod.norm(A @ x), by
+    single-flip ascent; returns (value, witness).
+
+    Starts: the sign of the top right singular vector of A, the all-ones
+    vector and split_budget(budget)[0] seeded random sign vectors. At
+    each step every start still active scores all of its single flips
+    y - 2 eps_j A[:, j] through norm_rows, in blocks of at most
+    SIGN_BLOCK entries, and takes the best flip if it gains more than a
+    relative 1e-12; a start with no such flip stops. The moved images are
+    recomputed as E @ A.T, so they do not drift. The final vertices are
+    re-read by the scalar norm and the first maximum wins.
+    """
+    n, N = A.shape
+    top = np.linalg.svd(A, full_matrices=False)[2][0]
+    starts = [np.where(top < 0, -1.0, 1.0), np.ones(N)]
+    starts += [np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
+               for s in child_seeds(seed, split_budget(budget)[0])]
+    E = np.array(starts)
+    Y = E @ A.T
+    score = cod.norm_rows(Y)
+    flips = 2.0 * A.T  # row j: what flipping entry j moves y by, up to its sign
+    step = max(1, SIGN_BLOCK // (E.shape[0] * max(n, cod.row_width)))  # flips per block
+    final = np.empty_like(E)
+    active = np.arange(E.shape[0])  # the starts in E, which holds only those
+    while active.size:
+        vals = np.empty((active.size, N))
+        for j in range(0, N, step):
+            block = Y[:, None] - E[:, j:j + step, None] * flips[j:j + step]
+            vals[:, j:j + step] = cod.norm_rows(block.reshape(-1, n)).reshape(active.size, -1)
+        arg = np.argmax(vals, axis=1)
+        best = vals[np.arange(active.size), arg]
+        gain = best > score * (1.0 + 1e-12)
+        if not gain.all():
+            final[active[~gain]] = E[~gain]
+            active, E, arg, best = active[gain], E[gain], arg[gain], best[gain]
+        score = best
+        E[np.arange(active.size), arg] *= -1.0
+        Y = E @ A.T
+    values = [cod.norm(A @ e) for e in final]
+    i = int(np.argmax(values))
+    return values[i], final[i]
+
+
 def operator_norm(T, budget=32, seed=0):
     """Operator norm of T, exact on the closed-form routes.
 
-    Exact routes: Euclidean-to-Euclidean (largest singular value),
-    domain l_1 (max column norm), codomain l_inf with an l_p-family
-    domain (max dual norm of the rows), small l_inf domain (sign
-    enumeration). Everything else returns a witnessed lower bound with
-    the comparison-constant upper bound in meta.
+    meta["route"] names the route that produced the value:
+      - "zero": the zero map, exact.
+      - "svd": Euclidean to Euclidean, the largest singular value, exact.
+      - "l1-columns": domain l_1, the largest column norm, exact.
+      - "linf-rows": codomain l_inf and a domain with a closed-form dual
+        norm, the largest dual norm of a row, exact.
+      - "enumeration": domain l_inf with at most ENUM_CAP coordinates,
+        every vertex of the cube, exact.
+      - "vertex-ascent": a larger l_inf domain and a normed codomain,
+        single-flip ascent over the cube's vertices (_vertex_ascent), a
+        witnessed lower bound: a convex norm of A x peaks at a vertex.
+      - "search": everything else, the sphere search of
+        search.multistart_maximize, a witnessed lower bound. On a
+        quasi-normed codomain an interior point can beat every vertex,
+        so out of a large l_inf cube the best vertex of the ascent is one
+        more start of the search.
+    The lower routes carry the comparison-constant upper bound in
+    meta["upper"].
     """
     A = np.asarray(T.matrix, dtype=float)
     if not np.any(A):
-        return Estimate(0.0, EXACT, witness=None, budget=0, seed=seed)
+        return Estimate(0.0, EXACT, witness=None, budget=0, seed=seed,
+                        meta={"route": "zero"})
     dom, cod = T.domain, T.codomain
+
+    def exact(value, witness, route):
+        return Estimate(float(value), EXACT, witness=witness, budget=0, seed=seed,
+                        meta={"route": route})
+
+    def lower(value, witness, route):
+        return Estimate(float(value), LOWER, witness=witness, budget=budget, seed=seed,
+                        meta={"upper": norm_upper(T), "route": route})
 
     if T.is_euclidean:
         u, s, vt = np.linalg.svd(A)
-        return Estimate(float(s[0]), EXACT, witness=vt[0], budget=0, seed=seed)
+        return exact(s[0], vt[0], "svd")
 
     if dom.is_l1:
         vals = cod.norm_rows(A.T)
         j = int(np.argmax(vals))
         w = np.zeros(dom.dim)
         w[j] = 1.0
-        return Estimate(float(vals[j]), EXACT, witness=w, budget=0, seed=seed)
+        return exact(vals[j], w, "l1-columns")
 
-    if cod.is_linf:
-        duals = [dom.dual_exact(row) for row in A]
-        if all(d is not None for d in duals):
-            i = int(np.argmax(duals))
-            return Estimate(
-                float(duals[i]), EXACT, witness={"row": i}, budget=0, seed=seed
-            )
+    if cod.is_linf and dom.has_exact_dual:
+        duals = dom.dual_upper_rows(A)  # the closed forms of dual_exact, row-wise
+        i = int(np.argmax(duals))
+        return exact(duals[i], {"row": i}, "linf-rows")
 
-    if dom.is_linf and dom.dim <= ENUM_CAP:
-        signs = sign_patterns(dom.dim)
-        vals = sign_norms(signs, A.T, cod)
-        i = int(np.argmax(vals))
-        # a float copy, so the estimate does not keep the whole table alive
-        return Estimate(float(vals[i]), EXACT, witness=signs[i].astype(float), budget=0,
-                        seed=seed)
+    vertex = []
+    if dom.is_linf:
+        if dom.dim <= ENUM_CAP:
+            signs = sign_patterns(dom.dim)
+            vals = sign_norms(signs, A.T, cod)
+            i = int(np.argmax(vals))
+            # a float copy, so the estimate does not keep the whole table alive
+            return exact(vals[i], signs[i].astype(float), "enumeration")
+        val, wit = _vertex_ascent(A, cod, budget, seed)
+        if not cod.is_quasi:
+            return lower(val, wit, "vertex-ascent")
+        vertex = [wit]
 
-    structured = list(np.eye(dom.dim))
-    structured.append(np.ones(dom.dim))
     val, wit = multistart_maximize(
         lambda x: cod.norm(A @ x),
         shape=(dom.dim,),
-        structured=structured,
+        structured=[*np.eye(dom.dim), np.ones(dom.dim), *vertex],
         budget=budget,
         seed=seed,
         project=lambda x: _to_sphere(dom, x),
         rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ A.T)),
     )
-    return Estimate(
-        float(val), LOWER, witness=wit, budget=budget, seed=seed,
-        meta={"upper": norm_upper(T)},
-    )
+    return lower(val, wit, "search")
 
 
 def dual_norm(space, functional, budget=32, seed=0):

@@ -47,10 +47,12 @@ class SuiteReport:
         return record
 
     def check(self, name, ok, measured=None, bound=None, tier=ASSERT, seed=None,
-              runtime=0.0, **extra):
+              runtime=0.0, inputs=None, extra=None, **more):
+        """Add a record; the entries of extra and any further keywords
+        both land in the record's flat extra dict."""
         verdict = ("pass" if ok else "fail") if tier == ASSERT else "observe"
-        return self.add(CheckRecord(name, tier, verdict, measured, bound,
-                                    extra.pop("inputs", {}), seed, runtime, extra))
+        return self.add(CheckRecord(name, tier, verdict, measured, bound, inputs or {},
+                                    seed, runtime, {**(extra or {}), **more}))
 
     @property
     def passed(self):

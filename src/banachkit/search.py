@@ -6,6 +6,12 @@ coordinate ascent (single-entry perturbations with a shrinking step).
 Every candidate is scored, so results are a deterministic function of
 the master seed.
 
+Operator norms out of an l_inf cube do not come here: a convex norm of
+A x peaks at a vertex of the cube, so linmaps climbs the vertices by
+single sign flips instead. Only a quasi-normed codomain, where an
+interior point can beat every vertex, still takes the search from there,
+with the best vertex as one more start.
+
 Every caller passes a batch evaluator `rows` that scores many proposals
 at once. The starts are scored as one block, and so are the proposals
 still ahead in each polish sweep: the first proposal that improves is

@@ -10,8 +10,8 @@ The l_{p,inf} and weak families are quasi-norms and are flagged as such
 with an explicit quasi-triangle constant.
 
 The exact routes of linmaps and snumbers dispatch on the capability
-properties of a space (is_euclidean, is_l1, is_linf), never on family
-strings; a SubspaceSpace has none of them.
+properties of a space (is_euclidean, is_l1, is_linf, has_exact_dual),
+never on family strings; a SubspaceSpace has none of them.
 """
 
 import math
@@ -139,13 +139,22 @@ class SeqSpace:
 
     # -- duality ----------------------------------------------------------
 
+    @property
+    def has_exact_dual(self):
+        """True where dual_exact has a closed form: l_p, lorentz:p:inf
+        and the gweak family."""
+        return self.family != "lorentz" or self.q == math.inf
+
     def dual_exact(self, y):
-        """Exact dual-norm value where a closed form exists, else None.
+        """Exact dual-norm value where a closed form exists
+        (has_exact_dual), else None.
 
         l_p duals are l_{p'}; for the weak families the dual pairing is
         maximized by aligning the rearrangement of y against the extreme
         profile 1/g(k), giving sum_k y*_k / g(k) exactly.
         """
+        if not self.has_exact_dual:
+            return None
         y = np.asarray(y, dtype=float)
         if self.family == "lp":
             return SeqSpace("lp", p=_conjugate(self.p)).norm(y)
@@ -154,11 +163,9 @@ class SeqSpace:
         if s.size == 0:
             return 0.0
         ks = np.arange(1, s.size + 1)
-        if self.family == "lorentz" and self.q == math.inf:
+        if self.family == "lorentz":
             return float(np.sum(s * ks ** (-1.0 / self.p)))
-        if self.family == "gweak":
-            return float(np.sum(s / self.g(ks)))
-        return None
+        return float(np.sum(s / self.g(ks)))
 
     def dual_upper(self, y):
         """Certified upper bound on the dual norm of y (exact where a
@@ -272,6 +279,10 @@ class NormedSpace:
     def is_quasi(self):
         return self.space.is_quasi
 
+    @property
+    def has_exact_dual(self):
+        return self.space.has_exact_dual
+
     def quasi_constant(self):
         return self.space.quasi_constant(self.dim)
 
@@ -355,6 +366,10 @@ class SubspaceSpace:
     @property
     def is_quasi(self):
         return self.ambient.is_quasi
+
+    @property
+    def has_exact_dual(self):
+        return False
 
     def le_euclid(self):
         return self.ambient.le_euclid() * self._smax

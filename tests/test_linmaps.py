@@ -9,6 +9,7 @@ from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identit
                        weak_lq_functional)
 from banachkit import linmaps
 from banachkit.linmaps import SIGN_BLOCK, sign_norms, sign_patterns, weak_lq_upper
+from banachkit.search import multistart_maximize
 
 
 def space(p, n):
@@ -217,6 +218,114 @@ def test_operator_norm_submultiplicative():
         upper_t = tn if T.is_euclidean else operator_norm(T).meta.get("upper", tn)
         upper_s = sn if S.is_euclidean else operator_norm(S).meta.get("upper", sn)
         assert comp.value <= upper_t * upper_s * (1 + 1e-10)
+
+
+def test_operator_norm_names_its_route():
+    rng = np.random.default_rng(11)
+    cases = [
+        (np.zeros((2, 3)), "lp:2:3", "lp:3:2", "zero", "exact"),
+        (rng.standard_normal((3, 3)), "lp:2:3", "lorentz:2:2:3", "svd", "exact"),
+        (rng.standard_normal((3, 4)), "lp:1:4", "lorentz:2:inf:3", "l1-columns", "exact"),
+        (rng.standard_normal((4, 3)), "gweak:pow:0.5:3", "lp:inf:4", "linf-rows", "exact"),
+        (rng.standard_normal((3, 6)), "lp:inf:6", "lp:3:3", "enumeration", "exact"),
+        (rng.standard_normal((5, 24)), "lp:inf:24", "lp:3:5", "vertex-ascent", "lower"),
+        (rng.standard_normal((3, 4)), "lorentz:2:1:4", "lp:inf:3", "search", "lower"),
+        (rng.standard_normal((3, 3)), "lp:1.5:3", "lp:3:3", "search", "lower"),
+    ]
+    for A, dom, cod, route, direction in cases:
+        est = operator_norm(LinearMap(A, parse_space(dom), parse_space(cod)), budget=8)
+        assert (est.meta["route"], est.direction) == (route, direction), (dom, cod)
+
+
+@pytest.mark.parametrize("cod", ["lorentz:2:inf:16", "gweak:pow:0.5:16"])
+def test_quasi_codomain_past_the_cap_searches_from_the_best_vertex(cod):
+    # an interior point can beat every vertex of the cube on a quasi-norm,
+    # so the best vertex of the ascent is only one start of the search
+    cod = parse_space(cod)
+    A = np.random.default_rng(12).standard_normal((16, 32))
+    est = operator_norm(LinearMap(A, parse_space("lp:inf:32"), cod), budget=16, seed=3)
+    assert (est.meta["route"], est.direction) == ("search", "lower")
+    vertex, _ = linmaps._vertex_ascent(A, cod, 16, 3)
+    assert est.value >= vertex
+    assert est.value <= est.meta["upper"]
+
+
+@pytest.mark.parametrize("cod", ["lp:2:16", "lp:3:16", "lp:1:16", "lorentz:3:2:16"])
+def test_vertex_ascent_witness_is_a_local_maximum(cod):
+    dom, cod = parse_space("lp:inf:32"), parse_space(cod)
+    rng = np.random.default_rng(13)
+    for seed in range(5):
+        A = rng.standard_normal((16, 32)) / math.sqrt(32)
+        T = LinearMap(A, dom, cod)
+        est = operator_norm(T, budget=16, seed=seed)
+        assert (est.meta["route"], est.direction) == ("vertex-ascent", "lower")
+        w = est.witness
+        assert w.dtype == np.float64 and np.all(np.abs(w) == 1.0)
+        assert dom.norm(w) == 1.0
+        assert cod.norm(A @ w) == est.value
+        assert est.value <= est.meta["upper"]
+        again = operator_norm(T, budget=16, seed=seed)
+        assert again.to_dict() == est.to_dict()
+        # the ascent stops where no single flip gains a relative 1e-12;
+        # the scalar norm may read a flip a few ulps off its block score
+        flipped = w * (1.0 - 2.0 * np.eye(32))  # row j: w with entry j flipped
+        gains = [cod.norm(A @ v) / est.value - 1.0 for v in flipped]
+        assert max(gains) <= 1e-12 + 1e-14
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_vertex_ascent_against_enumeration(N):
+    cod = parse_space("lp:3:8")
+    ratios = []
+    for seed in range(40):
+        A = np.random.default_rng(100 + seed).standard_normal((8, N))
+        value, _ = linmaps._vertex_ascent(A, cod, 16, seed)
+        ratios.append(value / np.max(sign_norms(sign_patterns(N), A.T, cod)))
+    ratios = np.array(ratios)
+    # gemv and the blocked gemm of the enumeration may round apart by ulps
+    assert np.all(ratios <= 1.0 + 1e-12)
+    assert np.all(ratios >= 0.9)
+    assert np.sum(ratios >= 1.0 - 1e-12) >= 32
+
+
+@pytest.mark.parametrize("cod", ["lp:2:16", "lp:3:16", "lorentz:3:2:16"])
+def test_vertex_ascent_never_below_the_sphere_search(cod):
+    dom, cod = parse_space("lp:inf:32"), parse_space(cod)
+
+    def to_sphere(x):
+        nrm = dom.norm(x)
+        return None if nrm == 0.0 else x / nrm
+
+    def rows(X):
+        nrm = dom.norm_rows(X)
+        out = np.full(X.shape[0], -np.inf)
+        ok = nrm != 0.0
+        out[ok] = cod.norm_rows((X[ok] / nrm[ok, None]) @ A.T)
+        return out
+
+    for seed in range(40):
+        A = np.random.default_rng(200 + seed).standard_normal((16, 32)) / math.sqrt(32)
+        est = operator_norm(LinearMap(A, dom, cod), budget=16, seed=seed)
+        # the continuous search that served these maps before the ascent
+        ref, _ = multistart_maximize(lambda x: cod.norm(A @ x), shape=(32,),
+                                     structured=[*np.eye(32), np.ones(32)], budget=16,
+                                     seed=seed, project=to_sphere, rows=rows)
+        assert est.value >= ref
+
+
+def test_vertex_ascent_memory_stays_bounded():
+    A = np.random.default_rng(14).standard_normal((200, 300))
+    T = LinearMap(A, parse_space("lp:inf:300"), parse_space("lp:3:200"))
+    tracemalloc.start()
+    try:
+        est = operator_norm(T, budget=16, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.meta["route"] == "vertex-ascent"
+    # each step scores the flips in blocks of at most SIGN_BLOCK entries,
+    # so the peak is a few blocks whatever the dimension
+    assert peak < 64 * 2**20
 
 
 def test_weak_l2_euclidean_exact_gram():

@@ -181,3 +181,19 @@ def test_l1_and_linf_capabilities(descriptor, l1, linf):
     # a subspace keeps neither the extreme points nor the coordinate functionals
     sub = SubspaceSpace(np.eye(3)[:, :2], X)
     assert (sub.is_l1, sub.is_linf) == (False, False)
+
+
+@pytest.mark.parametrize("descriptor, exact_dual", [
+    ("lp:1:3", True), ("lp:inf:3", True), ("lp:1.5:3", True), ("lorentz:2:inf:3", True),
+    ("gweak:pow:0.5:3", True), ("lorentz:2:1:3", False), ("lorentz:3:2:3", False),
+])
+def test_exact_dual_capability(descriptor, exact_dual):
+    X = parse_space(descriptor)
+    y = np.array([1.0, -2.0, 0.5])
+    assert X.has_exact_dual == X.space.has_exact_dual == exact_dual
+    assert (X.dual_exact(y) is not None) == exact_dual
+    if exact_dual:
+        # the closed forms the into-l_inf operator-norm route scores rows with
+        assert X.dual_upper_rows(y[None])[0] == pytest.approx(X.dual_exact(y), rel=1e-12)
+    sub = SubspaceSpace(np.eye(3)[:, :2], X)
+    assert not sub.has_exact_dual and sub.dual_exact(y[:2]) is None

@@ -20,3 +20,10 @@ def test_reports_carry_direction_tags_and_seeds():
     doc = rep.to_dict()
     assert doc["master_seed"] == 5
     assert doc["version"]
+
+
+def test_record_extras_are_flat():
+    rep = run_suite("growth", seed=0)
+    extras = [r.to_dict()["extra"] for r in rep.records]
+    assert all("extra" not in e for e in extras)
+    assert any("warnings" in e for e in extras)
