@@ -4,13 +4,15 @@ Checks come in two tiers. ASSERT checks are machine-decidable contracts
 (exact identities, direction-tagged comparisons) and drive the exit
 status; OBSERVE checks record empirical constants that no effective
 bound pins down, and never fail a run. All numeric fields are a pure
-function of the master seed; the runtime field is wall clock and is
-excluded from reproducibility comparisons.
+function of the master seed; the runtime field is wall clock (the
+seconds a check took, timed from the report's creation or its previous
+record) and is excluded from reproducibility comparisons.
 """
 
 import csv
 import io
 import json
+import time
 from dataclasses import dataclass, field
 
 from .estimates import Record
@@ -41,15 +43,22 @@ class SuiteReport:
     master_seed: int
     records: list = field(default_factory=list)
     version: str = VERSION
+    _mark: float = field(default_factory=time.perf_counter, init=False, repr=False,
+                         compare=False)
 
     def add(self, record):
         self.records.append(record)
+        self._mark = time.perf_counter()
         return record
 
     def check(self, name, ok, measured=None, bound=None, tier=ASSERT, seed=None,
-              runtime=0.0, inputs=None, extra=None, **more):
+              runtime=None, inputs=None, extra=None, **more):
         """Add a record; the entries of extra and any further keywords
-        both land in the record's flat extra dict."""
+        both land in the record's flat extra dict. Without an explicit
+        runtime, the record gets the wall seconds since the report was
+        created or since its previous record."""
+        if runtime is None:
+            runtime = time.perf_counter() - self._mark
         verdict = ("pass" if ok else "fail") if tier == ASSERT else "observe"
         return self.add(CheckRecord(name, tier, verdict, measured, bound, inputs or {},
                                     seed, runtime, {**(extra or {}), **more}))

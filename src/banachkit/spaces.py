@@ -45,6 +45,21 @@ def _conjugate(p):
     return p / (p - 1.0)
 
 
+def _abs_rows(m):
+    """|m| as one fresh float64 array; m itself is never written."""
+    a = np.abs(m)
+    return a if a.dtype == np.float64 else a.astype(float)
+
+
+def _descending_rows(m):
+    """|m| with every row in non-increasing order, as one fresh float64
+    array sorted in place."""
+    a = _abs_rows(m)
+    np.negative(a, out=a)
+    a.sort(axis=1)
+    return np.negative(a, out=a)
+
+
 @dataclass(frozen=True)
 class SeqSpace:
     """Dimension-free descriptor of a symmetric sequence-space family."""
@@ -81,21 +96,30 @@ class SeqSpace:
         return gweak_norm(x, self.g)
 
     def norm_rows(self, m):
-        """Vectorized norm of every row of a 2-d array."""
-        m = np.abs(np.asarray(m)).astype(float)
+        """Vectorized norm of every row of a 2-d array.
+
+        m is never written. The call works in one fresh float64 array,
+        |m|, which it raises to the power, sorts and weights in place; the
+        results equal those of the out-of-place expressions it replaces
+        (np.abs(m).astype(float), -np.sort(-m), s**q * w) bit for bit.
+        """
         if self.family == "lp":
+            a = _abs_rows(m)
             if self.p == math.inf:
-                return np.max(m, axis=1)
-            return np.sum(m**self.p, axis=1) ** (1.0 / self.p)
-        s = -np.sort(-m, axis=1)
-        n = np.arange(1, m.shape[1] + 1, dtype=float)
-        if self.family == "lorentz":
-            if self.q == math.inf:
-                return np.max(n ** (1.0 / self.p) * s, axis=1)
-            e = self.q / self.p - 1.0
-            return np.sum(s**self.q * n**e, axis=1) ** (1.0 / self.q)
-        w = self.g(np.arange(1, m.shape[1] + 1))
-        return np.max(w * s, axis=1)
+                return np.max(a, axis=1)
+            if self.p != 1.0:
+                # **= dispatches on the scalar exponent as ** does (square
+                # for 2), so the powers match m**p on any numpy
+                a **= self.p
+            return np.sum(a, axis=1) ** (1.0 / self.p)
+        a = _descending_rows(m)
+        n = np.arange(1, a.shape[1] + 1, dtype=float)
+        if self.family == "lorentz" and self.q != math.inf:
+            a **= self.q
+            a *= n ** (self.q / self.p - 1.0)
+            return np.sum(a, axis=1) ** (1.0 / self.q)
+        a *= n ** (1.0 / self.p) if self.family == "lorentz" else self.g(n)
+        return np.max(a, axis=1)
 
     # -- structural data -------------------------------------------------
 
@@ -186,10 +210,10 @@ class SeqSpace:
             return SeqSpace("lorentz", p=_conjugate(self.p), q=_conjugate(self.q)).norm_rows(m)
         # the closed forms of dual_exact: the rearrangement against the
         # extreme profile k^(-1/p) or 1/g(k)
-        s = -np.sort(-np.abs(m), axis=1)
+        a = _descending_rows(m)
         ks = np.arange(1, m.shape[1] + 1)
-        w = ks ** (-1.0 / self.p) if self.family == "lorentz" else 1.0 / self.g(ks)
-        return np.sum(s * w, axis=1)
+        a *= ks ** (-1.0 / self.p) if self.family == "lorentz" else 1.0 / self.g(ks)
+        return np.sum(a, axis=1)
 
 
 def lp(p):

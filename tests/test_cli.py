@@ -151,6 +151,17 @@ def test_reports_reproduce_bitwise_given_seed():
     assert da == db
 
 
+def test_check_records_carry_wall_clock_runtime():
+    a, b = run_suite("norms", seed=0), run_suite("norms", seed=0)
+    da, db = a.to_dict(), b.to_dict()
+    runtimes = [r.pop("runtime") for r in da["records"]]
+    for r in db["records"]:
+        r.pop("runtime")
+    assert da == db
+    assert all(t >= 0 for t in runtimes) and sum(runtimes) > 0
+    assert SuiteReport("demo", 0).check("timed", True, runtime=1.5).runtime == 1.5
+
+
 def test_suite_registry_covers_spec_surfaces():
     for name in ("norms", "growth", "rademacher", "ell", "contraction",
                  "gauss-rademacher", "pi1", "eigen", "pi2-approx", "wc-bracket",

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from banachkit import (GrowthSequence, NormedSpace, SubspaceSpace,
                        cotype_index, fundamental_function, gweak, lorentz, lp,
                        parse_family, parse_space)
-from banachkit.spaces import DescriptorError
+from banachkit.spaces import DescriptorError, _conjugate
 
 
 def random_spaces(dims, rng):
@@ -197,3 +201,110 @@ def test_exact_dual_capability(descriptor, exact_dual):
         assert X.dual_upper_rows(y[None])[0] == pytest.approx(X.dual_exact(y), rel=1e-12)
     sub = SubspaceSpace(np.eye(3)[:, :2], X)
     assert not sub.has_exact_dual and sub.dual_exact(y[:2]) is None
+
+
+# -- the row kernels against the out-of-place expressions they replaced ------
+
+ROW_FAMILIES = ["lp:1", "lp:1.5", "lp:2", "lp:3", "lp:inf", "lorentz:2:1", "lorentz:3:2",
+                "lorentz:1:2", "lorentz:2:4", "lorentz:2:inf", "lorentz:1.5:inf",
+                "gweak:pow:0.5", "gweak:pow:0.1", "gweak:file"]
+ROW_DIM_MAX = 40
+
+
+def reference_norm_rows(space, m):
+    """SeqSpace.norm_rows as it read before it worked in one buffer."""
+    m = np.abs(np.asarray(m)).astype(float)
+    if space.family == "lp":
+        if space.p == math.inf:
+            return np.max(m, axis=1)
+        return np.sum(m**space.p, axis=1) ** (1.0 / space.p)
+    s = -np.sort(-m, axis=1)
+    n = np.arange(1, m.shape[1] + 1, dtype=float)
+    if space.family == "lorentz":
+        if space.q == math.inf:
+            return np.max(n ** (1.0 / space.p) * s, axis=1)
+        e = space.q / space.p - 1.0
+        return np.sum(s**space.q * n**e, axis=1) ** (1.0 / space.q)
+    w = space.g(np.arange(1, m.shape[1] + 1))
+    return np.max(w * s, axis=1)
+
+
+def reference_dual_upper_rows(space, m):
+    """SeqSpace.dual_upper_rows as it read before it worked in one buffer."""
+    m = np.asarray(m, dtype=float)
+    if space.family == "lp":
+        return reference_norm_rows(lp(_conjugate(space.p)), m)
+    if space.family == "lorentz" and space.q != math.inf:
+        return reference_norm_rows(lorentz(_conjugate(space.p), _conjugate(space.q)), m)
+    s = -np.sort(-np.abs(m), axis=1)
+    ks = np.arange(1, m.shape[1] + 1)
+    w = ks ** (-1.0 / space.p) if space.family == "lorentz" else 1.0 / space.g(ks)
+    return np.sum(s * w, axis=1)
+
+
+@pytest.fixture(scope="module")
+def row_families(tmp_path_factory):
+    path = tmp_path_factory.mktemp("growth") / "g.txt"
+    ks = range(1, ROW_DIM_MAX + 1)
+    path.write_text("".join(f"{k} {k ** 0.4 + 0.1 * (k > 1)}\n" for k in ks))
+    return {name: parse_family(f"gweak:file:{path}" if name == "gweak:file" else name)[0]
+            for name in ROW_FAMILIES}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def row_blocks(draw):
+    """A 2-d block in float64, float32 or int8, with some rows set to 0.0
+    or -0.0; one row and one column are among the shapes drawn."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int8]))
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, ROW_DIM_MAX)))
+    if dtype == np.int8:
+        elements = st.integers(-128, 127)
+    else:
+        width = 64 if dtype == np.float64 else 32
+        elements = st.floats(-1e6, 1e6, width=width, allow_subnormal=False)
+    m = draw(hnp.arrays(dtype, shape, elements=elements))
+    for i in draw(st.sets(st.integers(0, shape[0] - 1), max_size=3)):
+        m[i] = draw(st.sampled_from([0.0, -0.0]))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(ROW_FAMILIES), m=row_blocks(), data=st.data())
+def test_row_kernels_match_reference_bit_for_bit(row_families, name, m, data):
+    space = row_families[name]
+    before = m.copy()
+    with np.errstate(invalid="ignore"):  # |-128| wraps in int8, on both sides
+        assert same_bits(space.norm_rows(m), reference_norm_rows(space, m))
+        assert same_bits(space.dual_upper_rows(m), reference_dual_upper_rows(space, m))
+    assert same_bits(m, before)
+    # a subspace hands its ambient space the fresh product m @ basis.T
+    ambient_dim = data.draw(st.integers(m.shape[1], ROW_DIM_MAX), label="ambient_dim")
+    basis = np.eye(ambient_dim)[:, :m.shape[1]] + data.draw(
+        hnp.arrays(np.float64, (ambient_dim, m.shape[1]), elements=st.floats(-0.25, 0.25)),
+        label="basis")
+    try:
+        sub = SubspaceSpace(basis, NormedSpace(space, ambient_dim))
+    except ValueError:  # a rank-deficient draw
+        return
+    expected = reference_norm_rows(space, np.asarray(m, dtype=float) @ sub.basis.T)
+    assert same_bits(sub.norm_rows(m), expected)
+    assert same_bits(m, before)
+
+
+@pytest.mark.parametrize("name", ROW_FAMILIES)
+def test_norm_rows_peak_memory_is_one_block(row_families, name):
+    # the kernels work in place on one copy of |m|: the out-of-place
+    # expressions peaked at 2 to 4 blocks
+    space = row_families[name]
+    m = np.random.default_rng(3).standard_normal((8192, 32))
+    tracemalloc.start()
+    try:
+        space.norm_rows(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m.nbytes
