@@ -20,7 +20,7 @@ from .gauges import (alternative_classify, best_k, convexify,
 from .growth import (GrowthSequence, g_q, iterated_log, tilde_g, tower,
                      tower_index, validate_growth)
 from .linmaps import (LinearMap, dual_norm, identity_map, operator_norm,
-                      weak_lq_functional)
+                      operator_norms, weak_lq_functional)
 from .pipeline import (BlockCertificate, plan_parameters, regroup_step,
                        revalidate, run_pipeline, select_block)
 from .sequences import gweak_norm, lorentz_norm, rearrange

@@ -7,7 +7,8 @@ bound from Euclidean comparison constants; meta["route"] names the
 route (see operator_norm). Out of a larger l_inf cube the lower bound
 comes from single-flip ascent over the cube's vertices, everywhere else
 from the sphere search of search.multistart_maximize. Both score whole
-blocks of proposals through norm_rows.
+blocks of proposals through norm_rows; operator_norms climbs the cube
+ascents of a stack of maps in lockstep.
 
 Every sign enumeration of the package goes through sign_norms, which
 streams the product of a pattern table and a configuration in row
@@ -22,7 +23,7 @@ import numpy as np
 from .estimates import Estimate, EXACT, LOWER
 from .search import child_seeds, multistart_maximize, split_budget
 
-__all__ = ["LinearMap", "identity_map", "operator_norm", "dual_norm",
+__all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
            "weak_lq_functional", "ENUM_CAP", "sign_norms"]
 
 #: sign patterns are enumerated exactly up to this many vectors
@@ -30,6 +31,10 @@ ENUM_CAP = 20
 
 #: entries of signs @ config that sign_norms holds at once
 SIGN_BLOCK = 1 << 18
+
+#: entries per norm_rows block of the vertex ascent, which makes several
+#: passes over each block: small enough to stay in cache
+ASCENT_BLOCK = SIGN_BLOCK >> 3
 
 
 def sign_patterns(n):
@@ -163,48 +168,72 @@ def _on_sphere(space, f):
     return rows
 
 
-def _vertex_ascent(A, cod, budget, seed):
-    """Best vertex of the sign cube for x -> cod.norm(A @ x), by
-    single-flip ascent; returns (value, witness).
+def _vertex_ascents(A, cod, budget, seeds):
+    """Best vertex of the sign cube for x -> cod.norm(A_i @ x), for each
+    map of a (k, n, N) stack, by single-flip ascent; (value, witness) pairs.
 
-    Starts: the sign of the top right singular vector of A, the all-ones
-    vector and split_budget(budget)[0] seeded random sign vectors. At
-    each step every start still active scores all of its single flips
-    y - 2 eps_j A[:, j] through norm_rows, in blocks of at most
-    SIGN_BLOCK entries, and takes the best flip if it gains more than a
-    relative 1e-12; a start with no such flip stops. The moved images are
-    recomputed as E @ A.T, so they do not drift. The final vertices are
-    re-read by the scalar norm and the first maximum wins.
+    Starts of map i: the sign of the top right singular vector of A_i,
+    the all-ones vector and split_budget(budget)[0] random sign vectors
+    seeded from seeds[i]. Each step, every active start of every map
+    scores all its flips y - 2 eps_j A_i[:, j] through norm_rows and takes
+    the best if it gains more than a relative 1e-12, else stops; every
+    norm_rows block holds at most ASCENT_BLOCK entries. The images
+    E_i @ A_i.T are recomputed from the active starts, one stacked product
+    per count of active starts, so each has the rows of the one-map ascent
+    (numpy sends one row to gemv, which rounds unlike gemm) and each map
+    climbs bit for bit as alone. The scalar norm re-reads the final
+    vertices; the first maximum wins.
     """
-    n, N = A.shape
-    top = np.linalg.svd(A, full_matrices=False)[2][0]
-    starts = [np.where(top < 0, -1.0, 1.0), np.ones(N)]
-    starts += [np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
-               for s in child_seeds(seed, split_budget(budget)[0])]
-    E = np.array(starts)
-    Y = E @ A.T
-    score = cod.norm_rows(Y)
-    flips = 2.0 * A.T  # row j: what flipping entry j moves y by, up to its sign
-    step = max(1, SIGN_BLOCK // (E.shape[0] * max(n, cod.row_width)))  # flips per block
-    final = np.empty_like(E)
-    active = np.arange(E.shape[0])  # the starts in E, which holds only those
-    while active.size:
-        vals = np.empty((active.size, N))
-        for j in range(0, N, step):
-            block = Y[:, None] - E[:, j:j + step, None] * flips[j:j + step]
-            vals[:, j:j + step] = cod.norm_rows(block.reshape(-1, n)).reshape(active.size, -1)
+    k, n, N = A.shape
+    top = np.linalg.svd(A, full_matrices=False)[2][:, 0]
+    E = np.ones((k, 2 + split_budget(budget)[0], N))
+    E[:, 0] = np.where(top < 0, -1.0, 1.0)
+    for i, seed in enumerate(seeds):
+        for j, s in enumerate(child_seeds(seed, E.shape[1] - 2), 2):
+            E[i, j] = np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
+    rows = max(1, ASCENT_BLOCK // max(n, cod.row_width))  # rows per block
+    pairs, step = max(1, rows // N), min(N, rows)  # starts x flips per block
+    Y = np.matmul(E, A.transpose(0, 2, 1))
+    flat = Y.reshape(-1, n)
+    score = np.concatenate([cod.norm_rows(flat[i:i + rows])
+                            for i in range(0, len(flat), rows)]).reshape(k, -1)
+    # row j of map i: what flipping entry j moves y by; C order keeps gathers contiguous
+    flips = np.multiply(2.0, A.transpose(0, 2, 1), order="C")
+    active = np.ones(score.shape, dtype=bool)
+    while active.any():
+        mi, si = np.nonzero(active)
+        vals = np.empty((mi.size, N))
+        for p in range(0, mi.size, pairs):
+            m, t = mi[p:p + pairs], si[p:p + pairs]
+            for j in range(0, N, step):
+                block = flips[m, j:j + step]  # y - eps_j flips_j as -eps_j flips_j + y
+                block *= -E[m, t, j:j + step, None]
+                block += Y[m, t, None]
+                vals[p:p + m.size, j:j + step] = cod.norm_rows(
+                    block.reshape(-1, n)).reshape(m.size, -1)
         arg = np.argmax(vals, axis=1)
-        best = vals[np.arange(active.size), arg]
-        gain = best > score * (1.0 + 1e-12)
-        if not gain.all():
-            final[active[~gain]] = E[~gain]
-            active, E, arg, best = active[gain], E[gain], arg[gain], best[gain]
-        score = best
-        E[np.arange(active.size), arg] *= -1.0
-        Y = E @ A.T
-    values = [cod.norm(A @ e) for e in final]
-    i = int(np.argmax(values))
-    return values[i], final[i]
+        best = vals[np.arange(mi.size), arg]
+        gain = best > score[mi, si] * (1.0 + 1e-12)
+        active[mi[~gain], si[~gain]] = False
+        mi, si, arg = mi[gain], si[gain], arg[gain]
+        score[mi, si] = best[gain]
+        E[mi, si, arg] *= -1.0
+        count = active.sum(axis=1)
+        for r in np.unique(count[count > 0]):
+            mi, si = np.nonzero(active & (count == r)[:, None])
+            Y[mi, si] = np.matmul(E[mi, si].reshape(-1, r, N),
+                                  A[mi[::r]].transpose(0, 2, 1)).reshape(-1, n)
+    out = []
+    for a, final in zip(A, E):
+        values = [cod.norm(a @ e) for e in final]
+        i = int(np.argmax(values))
+        out.append((values[i], final[i].copy()))  # a witness does not hold the stack
+    return out
+
+
+def _vertex_ascent(A, cod, budget, seed):
+    """_vertex_ascents of the one map A; returns (value, witness)."""
+    return _vertex_ascents(np.asarray(A, dtype=float)[None], cod, budget, [seed])[0]
 
 
 def operator_norm(T, budget=32, seed=0):
@@ -282,6 +311,29 @@ def operator_norm(T, budget=32, seed=0):
         rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ A.T)),
     )
     return lower(val, wit, "search")
+
+
+def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
+    """operator_norm of each map of a (k, n, N) stack with its own seed, bit
+    for bit. On the vertex-ascent route (an l_inf domain past ENUM_CAP, a
+    normed codomain other than l_inf, no zero map) the maps climb in one
+    _vertex_ascents call and meta["upper"] takes one stacked svd, in
+    norm_upper's order; every other route is a loop of operator_norm.
+    """
+    raw = np.asarray(matrices)
+    maps = [LinearMap(M, domain, codomain) for M in raw]
+    if len(seeds) != len(maps):
+        raise ValueError(f"{len(seeds)} seeds for {len(maps)} maps")
+    if not (maps and domain.is_linf and domain.dim > ENUM_CAP and not codomain.is_linf
+            and not codomain.is_quasi and np.any(raw, axis=(1, 2)).all()):
+        return [operator_norm(T, budget, seed) for T, seed in zip(maps, seeds)]
+    # float64 before the products, as norm_upper's float() of each map's svd
+    smax = np.linalg.svd(raw, compute_uv=False)[:, 0].astype(float)
+    upper = codomain.le_euclid() * smax * domain.ge_euclid()
+    ascents = _vertex_ascents(np.asarray(raw, dtype=float), codomain, budget, seeds)
+    return [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
+                     meta={"upper": float(u), "route": "vertex-ascent"})
+            for (v, w), seed, u in zip(ascents, seeds, upper)]
 
 
 def dual_norm(space, functional, budget=32, seed=0):

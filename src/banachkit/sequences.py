@@ -10,6 +10,17 @@ import numpy as np
 __all__ = ["rearrange", "lorentz_norm", "gweak_norm"]
 
 
+def _abs(x, owned=False):
+    """|x| in float64: in x itself if owned (a fresh float64 array no one
+    else holds), else in a fresh array; bool and integer x are cast first,
+    since in int8 |-128| wraps to -128."""
+    x = np.asarray(x)
+    if not owned and x.dtype.kind in "biu":
+        x, owned = x.astype(float), True
+    a = np.abs(x, out=x) if owned else np.abs(x)
+    return a if a.dtype == np.float64 else a.astype(float)
+
+
 def rearrange(x):
     """Non-increasing rearrangement of |x|.
 
@@ -17,7 +28,7 @@ def rearrange(x):
     irrelevant for any rearrangement-invariant norm but makes runs
     reproducible bit-for-bit.
     """
-    a = np.abs(np.asarray(x)).astype(float).ravel()
+    a = _abs(x).ravel()
     return -np.sort(-a, kind="stable")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .growth import GrowthSequence
-from .sequences import lorentz_norm, gweak_norm, rearrange
+from .sequences import _abs, gweak_norm, lorentz_norm, rearrange
 
 __all__ = [
     "SeqSpace",
@@ -45,16 +45,10 @@ def _conjugate(p):
     return p / (p - 1.0)
 
 
-def _abs_rows(m):
-    """|m| as one fresh float64 array; m itself is never written."""
-    a = np.abs(m)
-    return a if a.dtype == np.float64 else a.astype(float)
-
-
-def _descending_rows(m):
-    """|m| with every row in non-increasing order, as one fresh float64
-    array sorted in place."""
-    a = _abs_rows(m)
+def _descending_rows(m, owned=False):
+    """|m| with every row in non-increasing order, as a float64 array
+    sorted in place (m itself when owned, see sequences._abs)."""
+    a = _abs(m, owned)
     np.negative(a, out=a)
     a.sort(axis=1)
     return np.negative(a, out=a)
@@ -85,9 +79,8 @@ class SeqSpace:
     # -- norm evaluation ------------------------------------------------
 
     def norm(self, x):
-        x = np.asarray(x)
         if self.family == "lp":
-            a = np.abs(x).astype(float)
+            a = _abs(x)
             if self.p == math.inf:
                 return float(np.max(a)) if a.size else 0.0
             return float(np.sum(a**self.p) ** (1.0 / self.p))
@@ -101,10 +94,15 @@ class SeqSpace:
         m is never written. The call works in one fresh float64 array,
         |m|, which it raises to the power, sorts and weights in place; the
         results equal those of the out-of-place expressions it replaces
-        (np.abs(m).astype(float), -np.sort(-m), s**q * w) bit for bit.
+        (np.abs(m).astype(float), -np.sort(-m), s**q * w) bit for bit on
+        float input; bool and integer blocks are cast before abs.
         """
+        return self._norm_rows(m, owned=False)
+
+    def _norm_rows(self, m, owned):
+        """norm_rows, in m itself if m is owned (see sequences._abs)."""
         if self.family == "lp":
-            a = _abs_rows(m)
+            a = _abs(m, owned)
             if self.p == math.inf:
                 return np.max(a, axis=1)
             if self.p != 1.0:
@@ -112,7 +110,7 @@ class SeqSpace:
                 # for 2), so the powers match m**p on any numpy
                 a **= self.p
             return np.sum(a, axis=1) ** (1.0 / self.p)
-        a = _descending_rows(m)
+        a = _descending_rows(m, owned)
         n = np.arange(1, a.shape[1] + 1, dtype=float)
         if self.family == "lorentz" and self.q != math.inf:
             a **= self.q
@@ -276,6 +274,9 @@ class NormedSpace:
     def norm_rows(self, m):
         return self.space.norm_rows(self._check(m))
 
+    def _norm_rows(self, m, owned):
+        return self.space._norm_rows(self._check(m), owned)
+
     @property
     def row_width(self):
         """Widest row a norm_rows call forms: the rows it is given."""
@@ -367,7 +368,12 @@ class SubspaceSpace:
         return self.ambient.norm(self.basis @ np.asarray(x, dtype=float))
 
     def norm_rows(self, m):
-        return self.ambient.norm_rows(np.asarray(m, dtype=float) @ self.basis.T)
+        # the fresh product is owned: the ambient kernel works in it
+        return self.ambient._norm_rows(np.asarray(m, dtype=float) @ self.basis.T, owned=True)
+
+    def _norm_rows(self, m, owned):
+        """norm_rows; a subspace may be the ambient space of another."""
+        return self.norm_rows(m)
 
     @property
     def row_width(self):

@@ -16,7 +16,8 @@ from .gauges import (alternative_classify, best_k, lorentz_cotype_report,
                      opt_gauge, iterated_log_bound, self_concavity_check,
                      submultiplicativity_check, tensor_square)
 from .growth import GrowthSequence, g_q, tilde_g, tower, tower_index, validate_growth
-from .linmaps import LinearMap, identity_map, operator_norm, weak_lq_upper
+from .linmaps import (LinearMap, identity_map, operator_norm, operator_norms,
+                      weak_lq_upper)
 from .pipeline import revalidate, run_pipeline
 from .reports import ASSERT, OBSERVE, SuiteReport
 from .search import child_seeds
@@ -409,15 +410,6 @@ def suite_iterlog(seed=0, budget=16, tol=1e-12):
 # the two experiment suites
 
 
-def _factor_norms(S, R, n, N, q, budget, seed):
-    """Norms of S : l_inf^N -> l_q^n and R : l_q^n -> l_inf^N."""
-    lq = NormedSpace(lp(q), n)
-    linf = NormedSpace(lp(math.inf), N)
-    nS = operator_norm(LinearMap(S, linf, lq), budget=budget, seed=seed)
-    nR = operator_norm(LinearMap(R, lq, linf), budget=budget, seed=seed)
-    return nS, nR
-
-
 def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25):
     """Eigenvalue decay of maps factoring through a sup-norm cube.
 
@@ -425,6 +417,11 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     factorizations T = SR, plus a constructed witness with r = 1
     exactly. The universal constant is not effective, so the assertion
     is cross-seed stability of the max, not a numeric cap.
+
+    Each trial draws S and R from its own seed. The S norms of a run's
+    trials come from one operator_norms call: out of a cube past
+    ENUM_CAP their vertex ascents climb in lockstep, each bit for bit as
+    it would alone. ||R|| into l_inf is exact.
     """
     rep = SuiteReport("eigen-decay", seed)
     q = float(q)
@@ -432,13 +429,14 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     # rank-one witness: S x = x_1 e_1, R = coordinate embedding; all
     # three norms are exactly one and the spectrum is (1, 0, ..., 0)
     wit_n, wit_N = min(n, 8), min(N, 16)
+    wit_lq, wit_linf = NormedSpace(lp(q), wit_n), NormedSpace(lp(math.inf), wit_N)
     S = np.zeros((wit_n, wit_N))
     S[0, 0] = 1.0
     R = np.zeros((wit_N, wit_n))
     R[np.arange(wit_n), np.arange(wit_n)] = 1.0
-    nS, nR = _factor_norms(S, R, wit_n, wit_N, q, budget, seed)
-    T = S @ R
-    lam = eigenvalue_sequence(LinearMap(T, NormedSpace(lp(q), wit_n), NormedSpace(lp(q), wit_n)))
+    nS = operator_norm(LinearMap(S, wit_linf, wit_lq), budget=budget, seed=seed)
+    nR = operator_norm(LinearMap(R, wit_lq, wit_linf), budget=budget, seed=seed)
+    lam = eigenvalue_sequence(LinearMap(S @ R, wit_lq, wit_lq))
     ks = np.arange(1, wit_n + 1, dtype=float)
     r_wit = float(np.max(ks ** (1 / q) * lam.moduli)) / (nS.value * nR.value)
     rep.check("constructed-witness-r-is-one", abs(r_wit - 1.0) <= 1e-10,
@@ -449,16 +447,21 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     rep.check("nilpotent-r-zero", float(np.max(lam_nil.moduli)) == 0.0,
               measured=float(np.max(lam_nil.moduli)), bound=0.0)
 
+    lq, linf = NormedSpace(lp(q), n), NormedSpace(lp(math.inf), N)
+
     def run_trials(master):
         seeds = child_seeds(master, trials)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        stack = np.empty((trials, n, N))
+        for S, rng in zip(stack, rngs):
+            S[...] = rng.standard_normal((n, N)) / math.sqrt(N)
+        norms_S = operator_norms(stack, linf, lq, budget, seeds=seeds)
+        ks = np.arange(1, n + 1, dtype=float)
         rs = []
-        for s in seeds:
-            rng = np.random.default_rng(s)
-            S = rng.standard_normal((n, N)) / math.sqrt(N)
+        for S, rng, s, nS in zip(stack, rngs, seeds, norms_S):
             R = rng.standard_normal((N, n)) / math.sqrt(n)
-            nS, nR = _factor_norms(S, R, n, N, q, budget, s)
+            nR = operator_norm(LinearMap(R, lq, linf), budget=budget, seed=s)
             lam = eigenvalue_sequence(S @ R)
-            ks = np.arange(1, n + 1, dtype=float)
             rs.append(float(np.max(ks ** (1 / q) * lam.moduli)) / (nS.value * nR.value))
         return np.array(rs)
 

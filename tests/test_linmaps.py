@@ -8,8 +8,9 @@ from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identit
                        lorentz, lp, operator_norm, parse_space, rademacher_average,
                        weak_lq_functional)
 from banachkit import linmaps
-from banachkit.linmaps import SIGN_BLOCK, sign_norms, sign_patterns, weak_lq_upper
-from banachkit.search import multistart_maximize
+from banachkit.linmaps import (SIGN_BLOCK, operator_norms, sign_norms, sign_patterns,
+                               weak_lq_upper)
+from banachkit.search import child_seeds, multistart_maximize, split_budget
 
 
 def space(p, n):
@@ -325,6 +326,142 @@ def test_vertex_ascent_memory_stays_bounded():
     assert est.meta["route"] == "vertex-ascent"
     # each step scores the flips in blocks of at most SIGN_BLOCK entries,
     # so the peak is a few blocks whatever the dimension
+    assert peak < 64 * 2**20
+
+
+def one_map_vertex_ascent(A, cod, budget, seed):
+    """linmaps._vertex_ascent as it read before the maps of a stack climbed
+    in lockstep: one map, its active starts in one product per step."""
+    n, N = A.shape
+    top = np.linalg.svd(A, full_matrices=False)[2][0]
+    starts = [np.where(top < 0, -1.0, 1.0), np.ones(N)]
+    starts += [np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
+               for s in child_seeds(seed, split_budget(budget)[0])]
+    E = np.array(starts)
+    Y = E @ A.T
+    score = cod.norm_rows(Y)
+    flips = 2.0 * A.T
+    step = max(1, SIGN_BLOCK // (E.shape[0] * max(n, cod.row_width)))
+    final = np.empty_like(E)
+    active = np.arange(E.shape[0])
+    while active.size:
+        vals = np.empty((active.size, N))
+        for j in range(0, N, step):
+            block = Y[:, None] - E[:, j:j + step, None] * flips[j:j + step]
+            vals[:, j:j + step] = cod.norm_rows(block.reshape(-1, n)).reshape(active.size, -1)
+        arg = np.argmax(vals, axis=1)
+        best = vals[np.arange(active.size), arg]
+        gain = best > score * (1.0 + 1e-12)
+        if not gain.all():
+            final[active[~gain]] = E[~gain]
+            active, E, arg, best = active[gain], E[gain], arg[gain], best[gain]
+        score = best
+        E[np.arange(active.size), arg] *= -1.0
+        Y = E @ A.T
+    values = [cod.norm(A @ e) for e in final]
+    i = int(np.argmax(values))
+    return values[i], final[i]
+
+
+ASCENT_CODOMAINS = ["lp:2", "lp:3", "lp:1", "lp:1.5", "lorentz:3:2", "lorentz:2:1"]
+ASCENT_SHAPES = [(21, 5), (32, 16), (64, 8), (40, 40)]  # (N, n)
+
+
+def same_estimate(a, b):
+    return (a.value == b.value and a.direction == b.direction and a.seed == b.seed
+            and a.budget == b.budget and a.meta == b.meta
+            and a.witness.dtype == b.witness.dtype
+            and a.witness.tobytes() == b.witness.tobytes())
+
+
+@pytest.mark.parametrize("cod", ASCENT_CODOMAINS)
+@pytest.mark.parametrize("N, n", ASCENT_SHAPES)
+def test_operator_norms_equal_a_loop_of_operator_norm(cod, N, n):
+    dom, cod = parse_space(f"lp:inf:{N}"), parse_space(f"{cod}:{n}")
+    rng = np.random.default_rng(N + n)
+    for budget, k in ((0, 12), (16, 12), (32, 1), (16, 1)):
+        stack = rng.standard_normal((k, n, N)) / math.sqrt(N)
+        seeds = [int(s) for s in rng.integers(0, 2**32, k)]
+        got = operator_norms(stack, dom, cod, budget, seeds=seeds)
+        assert len(got) == k
+        for A, seed, est in zip(stack, seeds, got):
+            ref = operator_norm(LinearMap(A, dom, cod), budget, seed)
+            assert est.meta["route"] == "vertex-ascent"
+            assert same_estimate(est, ref)
+            assert est.witness.base is None  # not a view of the stack's vertices
+
+
+@pytest.mark.parametrize("cod", ASCENT_CODOMAINS)
+@pytest.mark.parametrize("N, n", ASCENT_SHAPES)
+def test_stacked_vertex_ascent_equals_the_one_map_loop(cod, N, n):
+    cod = parse_space(f"{cod}:{n}")
+    rng = np.random.default_rng(7 * N + n)
+    for budget in (0, 16, 32):
+        stack = rng.standard_normal((12, n, N))
+        seeds = list(range(budget, budget + 12))
+        got = linmaps._vertex_ascents(stack, cod, budget, seeds)
+        assert len(got) == 12
+        for A, seed, (value, witness) in zip(stack, seeds, got):
+            ref_value, ref_witness = one_map_vertex_ascent(A, cod, budget, seed)
+            assert value == ref_value
+            assert witness.tobytes() == ref_witness.tobytes()
+
+
+def test_operator_norms_off_the_ascent_route_is_a_loop():
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((4, 16, 32))
+    stack[2] = 0.0
+    cases = [(stack, "lp:3:16", ["vertex-ascent", "vertex-ascent", "zero", "vertex-ascent"]),
+             (stack[[0, 1]], "lorentz:2:inf:16", ["search", "search"]),
+             (stack[[0, 3], :, :12], "lp:3:16", ["enumeration", "enumeration"])]
+    for matrices, cod, routes in cases:
+        dom, cod = parse_space(f"lp:inf:{matrices.shape[2]}"), parse_space(cod)
+        got = operator_norms(matrices, dom, cod, budget=8, seeds=[3, 4, 5, 6][:len(routes)])
+        assert [est.meta["route"] for est in got] == routes
+        for A, seed, est in zip(matrices, [3, 4, 5, 6], got):
+            assert est.to_dict() == operator_norm(LinearMap(A, dom, cod), 8, seed).to_dict()
+    with pytest.raises(ValueError, match="3 seeds for 4 maps"):
+        operator_norms(stack, parse_space("lp:inf:32"), parse_space("lp:3:16"), seeds=[1, 2, 3])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_operator_norms_of_other_dtypes_equal_the_loop(dtype):
+    # operator_norm takes meta["upper"] from the svd of the map as given
+    # (single precision for float32) and the ascent from its float64 copy
+    dom, cod = parse_space("lp:inf:24"), parse_space("lp:3:6")
+    stack = (np.random.default_rng(17).standard_normal((5, 6, 24)) * 4).astype(dtype)
+    got = operator_norms(stack, dom, cod, budget=8, seeds=range(5))
+    for A, seed, est in zip(stack, range(5), got):
+        assert est.meta["route"] == "vertex-ascent"
+        assert same_estimate(est, operator_norm(LinearMap(A, dom, cod), 8, seed))
+
+
+@pytest.mark.parametrize("k, N, cod, budget", [(2, 128, "lp:3:2100", 0),
+                                               (44, 21, "lp:2:1000", 32)])
+def test_stacked_vertex_ascent_memory_stays_bounded(k, N, cod, budget):
+    # (2, 128, 2100): one start's flips alone, N x row_width entries,
+    # exceed a block, so each start scores its flips in several blocks;
+    # (44, 21, 1000): the first scores of all starts of all maps do
+    dom, cod = parse_space(f"lp:inf:{N}"), parse_space(cod)
+    starts = 2 + split_budget(budget)[0]
+    assert max(N, k * starts) * cod.row_width > SIGN_BLOCK
+    stack = np.random.default_rng(16).standard_normal((k, cod.dim, N))
+    blocks = []
+
+    def recording(m):
+        blocks.append(m.size)
+        return type(cod).norm_rows(cod, m)
+
+    cod.norm_rows = recording
+    tracemalloc.start()
+    try:
+        got = operator_norms(stack, dom, cod, budget=budget, seeds=range(k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [est.meta["route"] for est in got] == ["vertex-ascent"] * k
+    assert max(blocks) <= linmaps.ASCENT_BLOCK
+    # the bound of test_vertex_ascent_memory_stays_bounded
     assert peak < 64 * 2**20
 
 

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from banachkit import (GrowthSequence, NormedSpace, SubspaceSpace,
                        cotype_index, fundamental_function, gweak, lorentz, lp,
-                       parse_family, parse_space)
+                       parse_family, parse_space, rearrange)
 from banachkit.spaces import DescriptorError, _conjugate
 
 
@@ -212,8 +212,9 @@ ROW_DIM_MAX = 40
 
 
 def reference_norm_rows(space, m):
-    """SeqSpace.norm_rows as it read before it worked in one buffer."""
-    m = np.abs(np.asarray(m)).astype(float)
+    """SeqSpace.norm_rows as it read before it worked in one buffer, with
+    integer blocks cast to float before abs (|-128| wrapped in int8)."""
+    m = np.abs(np.asarray(m).astype(float))
     if space.family == "lp":
         if space.p == math.inf:
             return np.max(m, axis=1)
@@ -277,9 +278,8 @@ def row_blocks(draw):
 def test_row_kernels_match_reference_bit_for_bit(row_families, name, m, data):
     space = row_families[name]
     before = m.copy()
-    with np.errstate(invalid="ignore"):  # |-128| wraps in int8, on both sides
-        assert same_bits(space.norm_rows(m), reference_norm_rows(space, m))
-        assert same_bits(space.dual_upper_rows(m), reference_dual_upper_rows(space, m))
+    assert same_bits(space.norm_rows(m), reference_norm_rows(space, m))
+    assert same_bits(space.dual_upper_rows(m), reference_dual_upper_rows(space, m))
     assert same_bits(m, before)
     # a subspace hands its ambient space the fresh product m @ basis.T
     ambient_dim = data.draw(st.integers(m.shape[1], ROW_DIM_MAX), label="ambient_dim")
@@ -308,3 +308,51 @@ def test_norm_rows_peak_memory_is_one_block(row_families, name):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * m.nbytes
+
+
+@pytest.mark.parametrize("name", ROW_FAMILIES)
+def test_subspace_norm_rows_peak_memory_is_one_product(row_families, name):
+    # the ambient kernel takes |.| in place in the fresh product m @ basis.T,
+    # which held a second ambient-size copy of it (2.03x its bytes)
+    rng = np.random.default_rng(4)
+    sub = SubspaceSpace(rng.standard_normal((ROW_DIM_MAX, 32)),
+                        NormedSpace(row_families[name], ROW_DIM_MAX))
+    m = rng.standard_normal((8192, 32))
+    before = m.copy()
+    expected = sub.ambient.norm_rows(m @ sub.basis.T)
+    tracemalloc.start()
+    try:
+        got = sub.norm_rows(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m.shape[0] * ROW_DIM_MAX * 8
+    assert same_bits(got, expected)
+    assert same_bits(m, before)
+
+
+def test_subspace_of_a_subspace_norm_rows():
+    rng = np.random.default_rng(5)
+    inner = SubspaceSpace(rng.standard_normal((9, 6)), parse_space("lp:3:9"))
+    outer = SubspaceSpace(rng.standard_normal((6, 4)), inner)
+    m = rng.standard_normal((7, 4))
+    expected = inner.ambient.norm_rows((m @ outer.basis.T) @ inner.basis.T)
+    assert same_bits(outer.norm_rows(m), expected)
+
+
+@pytest.mark.parametrize("name", ["lp:1", "lp:1.5", "lp:2", "lp:inf", "lorentz:2:1",
+                                  "lorentz:2:inf", "gweak:pow:0.5", "gweak:file"])
+def test_integer_inputs_equal_their_float_copies(row_families, name):
+    # abs in the input's dtype wrapped |-128| to -128 in int8: lp:1.5 gave
+    # nan, lp:1 -127, lp:inf 1, and the lorentz:2:1 scalar norm 1.0
+    space = row_families[name]
+    for dtype in (np.int8, np.int64, np.bool_):
+        m = np.array([[-128, 1, 0], [5, -7, 127], [0, 0, -1]]).astype(dtype)
+        ref = m.astype(float)
+        assert same_bits(space.norm_rows(m), space.norm_rows(ref))
+        assert [space.norm(x) for x in m] == [space.norm(x) for x in ref]
+        assert same_bits(NormedSpace(space, 3).norm_rows(m), space.norm_rows(ref))
+    x = np.array([-128, 1], dtype=np.int8)
+    assert same_bits(rearrange(x), np.array([128.0, 1.0]))
+    assert lp(1).norm_rows(x[None])[0] == 129.0
+    assert lp(math.inf).norm(x) == 128.0
