@@ -1,12 +1,12 @@
 """Rademacher and gaussian averages of vector configurations.
 
 Sign averages are exact by enumeration up to ENUM_CAP vectors (the
-global flip symmetry halves the pattern count); the enumeration streams
-in row blocks (linmaps.sign_norms), so its peak memory is the
-2^(n-1) x n pattern table plus one block, whatever the dimension.
-Beyond the cap, and for gaussian weights always, chunked Monte Carlo
-with per-chunk seeds derived from the master seed keeps results
-reproducible.
+global flip symmetry halves the pattern count). Beyond the cap, and
+for gaussian weights always, chunked Monte Carlo with per-chunk seeds
+derived from the master seed keeps results reproducible; each chunk
+draws its weights in row blocks, one after another, from its own
+generator. Both stream through linmaps.sign_norms, so peak memory is
+one block, whatever the dimension.
 """
 
 import math
@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .estimates import AverageResult
-from .linmaps import ENUM_CAP, sign_norms, sign_patterns
+# sign_patterns is unused here but stays bound: the benchmark's tracer patches it here too
+from .linmaps import ENUM_CAP, sign_norms, sign_pattern, sign_patterns  # noqa: F401
 from .search import child_seeds, multistart_maximize
 
 __all__ = [
@@ -36,9 +37,10 @@ def _as_config(config):
 
 
 def _moments(values, moment):
-    if moment == 1:
-        return values
-    return values**2
+    """values (a fresh array), squared in place for the second moment."""
+    if moment == 2:
+        values **= 2
+    return values
 
 
 def _finish(mean, var_of_mean, moment, method, samples, seed):
@@ -50,14 +52,27 @@ def _finish(mean, var_of_mean, moment, method, samples, seed):
     return AverageResult(float(value), method, samples, float(se), seed)
 
 
+def _draw_signs(rng, block):
+    block[...] = rng.choice([-1.0, 1.0], size=block.shape)
+
+
+def _draw_gaussians(rng, block):
+    rng.standard_normal(out=block)
+
+
 def _mc_average(config, space, moment, sampler, samples, seed):
+    """Chunked Monte Carlo of ||sum_k w_k x_k||; sampler(rng, block) fills
+    a float block with the next rows of weights from rng."""
+    if samples < 1:
+        raise ValueError(f"Monte Carlo needs samples >= 1, got {samples}")
     total, total_sq, count = 0.0, 0.0, 0
     seeds = child_seeds(seed, (samples + _CHUNK - 1) // _CHUNK)
     for i, s in enumerate(seeds):
         m = min(_CHUNK, samples - i * _CHUNK)
         rng = np.random.default_rng(s)
-        weights = sampler(rng, (m, config.shape[0]))
-        vals = _moments(space.norm_rows(weights @ config), moment)
+        # drawn in pieces, a generator gives the stream of one whole draw
+        vals = _moments(sign_norms(lambda block: sampler(rng, block), config, space,
+                                   count=m), moment)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
         count += m
@@ -74,13 +89,10 @@ def rademacher_average(config, space, moment=1, samples=100_000, seed=0, enum_ca
     config = _as_config(config)
     n = config.shape[0]
     if n <= enum_cap:
-        signs = sign_patterns(n)
-        vals = _moments(sign_norms(signs, config, space), moment)
+        vals = _moments(sign_norms(n, config, space), moment)
         mean = float(np.mean(vals))
-        return _finish(mean, 0.0, moment, "exact-enumeration", signs.shape[0], seed)
-    return _mc_average(config, space, moment,
-                       lambda rng, shape: rng.choice([-1.0, 1.0], size=shape),
-                       samples, seed)
+        return _finish(mean, 0.0, moment, "exact-enumeration", vals.size, seed)
+    return _mc_average(config, space, moment, _draw_signs, samples, seed)
 
 
 def gaussian_average(config, space, moment=1, samples=100_000, seed=0):
@@ -88,9 +100,7 @@ def gaussian_average(config, space, moment=1, samples=100_000, seed=0):
     if moment not in (1, 2):
         raise ValueError("moment must be 1 or 2")
     config = _as_config(config)
-    return _mc_average(config, space, moment,
-                       lambda rng, shape: rng.standard_normal(shape),
-                       samples, seed)
+    return _mc_average(config, space, moment, _draw_gaussians, samples, seed)
 
 
 def ell_norm(u, samples=100_000, seed=0):
@@ -116,15 +126,15 @@ def contraction_check(config, space, budget=16, seed=0):
     n = config.shape[0]
     if n > ENUM_CAP:
         raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
-    signs = sign_patterns(n)
-    vals = sign_norms(signs, config, space)
+    vals = sign_norms(n, config, space)
     i = int(np.argmax(vals))
     sup_signs = float(vals[i])
+    eps = sign_pattern(n, i)
 
     box_val, _ = multistart_maximize(
         lambda a: space.norm(a @ config),
         shape=(n,),
-        structured=[signs[i], np.zeros(n), 0.5 * signs[i]],
+        structured=[eps, np.zeros(n), 0.5 * eps],
         budget=budget,
         seed=seed,
         project=lambda a: np.clip(a, -1.0, 1.0),

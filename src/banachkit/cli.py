@@ -35,6 +35,17 @@ def _vector(text):
         raise DescriptorError(text, text, "not a comma-separated vector") from exc
 
 
+def _sample_count(text):
+    """A Monte Carlo sample count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid sample count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {text!r}")
+    return value
+
+
 def _matrix(path):
     return np.loadtxt(path, ndmin=2)
 
@@ -245,36 +256,31 @@ def build_parser():
     p.add_argument("descriptor")
     p.add_argument("--vec", help="comma-separated entries")
     p.add_argument("--vec-file")
-    p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("growth", parents=[common], help="validate a growth sequence")
     p.add_argument("descriptor", help="gweak:pow:<a>:<N> or gweak:file:<path>:<N>")
     p.add_argument("--check", help="comma list of S, L:<t>, M:<r>")
     p.add_argument("--tilde", help="r:n")
     p.add_argument("--gq", help="q:n")
-    p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("snum", parents=[budgeted], help="s-number sequences")
     p.add_argument("--matrix-file")
     p.add_argument("--domain", required=True)
     p.add_argument("--codomain")
     p.add_argument("--kind", choices=("approx", "weyl"), default="approx")
-    p.set_defaults(fn=cmd_snum)
 
     p = sub.add_parser("eig", parents=[budgeted], help="eigenvalue sequence and decay")
     p.add_argument("--matrix-file")
     p.add_argument("--domain", required=True)
     p.add_argument("--codomain")
     p.add_argument("--growth")
-    p.set_defaults(fn=cmd_eig)
 
     p = sub.add_parser("avg", parents=[common], help="sign / gaussian averages")
     p.add_argument("--space", required=True)
     p.add_argument("--config-file")
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")
     p.add_argument("--moment", type=int, choices=(1, 2), default=1)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(fn=cmd_avg)
+    p.add_argument("--samples", type=_sample_count, default=100_000)
 
     p = sub.add_parser("summing", parents=[budgeted], help="summing norm lower bounds")
     p.add_argument("--space", required=True)
@@ -282,21 +288,18 @@ def build_parser():
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_summing)
 
     p = sub.add_parser("cotype", parents=[budgeted], help="cotype constant lower bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")
-    p.set_defaults(fn=cmd_cotype)
 
     p = sub.add_parser("gauge", parents=[budgeted], help="optimal gauge upper bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--kind", choices=("summing", "cotype"), default="summing")
     p.add_argument("--convexify", action="store_true")
-    p.set_defaults(fn=cmd_gauge)
 
     p = sub.add_parser("pipeline", parents=[budgeted], help="block lower-bound certificate")
     p.add_argument("--space", required=True)
@@ -305,8 +308,7 @@ def build_parser():
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--H", type=float, default=1.0)
     p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=20_000)
-    p.set_defaults(fn=cmd_pipeline)
+    p.add_argument("--samples", type=_sample_count, default=20_000)
 
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
     p.add_argument("suite", nargs="?", default="all",
@@ -316,20 +318,27 @@ def build_parser():
                    help="search budget (default: each suite's own)")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
+#: the parser of main, built once per process, on import: building it
+#: takes dozens of times as long as parsing one command line, and a
+#: parser built on the first call would make that call unlike the rest
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "list", False):
         for name in SUITES:
             print(name)
         return 0
+    # looked up on each call, not bound into the parser, so that a
+    # rebinding of cmd_<command> in this module (a tracer's) takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except DescriptorError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,12 @@ from the sphere search of search.multistart_maximize. Both score whole
 blocks of proposals through norm_rows; operator_norms climbs the cube
 ascents of a stack of maps in lockstep.
 
-Every sign enumeration of the package goes through sign_norms, which
-streams the product of a pattern table and a configuration in row
-blocks of at most SIGN_BLOCK entries: peak memory is the 2^(n-1) x n
-int8 table plus one block, whatever the dimension.
+Every sign enumeration and Monte Carlo average of the package goes
+through sign_norms, which streams the product of a weight table and a
+configuration in row blocks of at most SIGN_BLOCK entries. A sign
+enumeration writes each block of patterns directly and a Monte Carlo
+chunk draws its weights block by block, so peak memory is one block,
+whatever the dimension.
 """
 
 import math
@@ -24,7 +26,7 @@ from .estimates import Estimate, EXACT, LOWER
 from .search import child_seeds, multistart_maximize, split_budget
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
-           "weak_lq_functional", "ENUM_CAP", "sign_norms"]
+           "weak_lq_functional", "ENUM_CAP", "sign_norms", "sign_pattern"]
 
 #: sign patterns are enumerated exactly up to this many vectors
 ENUM_CAP = 20
@@ -58,49 +60,126 @@ def sign_patterns(n):
     return out
 
 
-def sign_norms(signs, config, space):
-    """space.norm_rows(signs @ config), computed in row blocks.
+def sign_pattern(n, i):
+    """Row i of sign_patterns(n) as a float array, without the table:
+    entry j is 1 - 2 * bit (n - 1 - j) of i."""
+    return 1.0 - 2.0 * ((i >> np.arange(n - 1, -1, -1)) & 1)
 
-    config is one (n, dim) configuration, or a (k, n, dim) stack of them;
-    a stack gives the (k, len(signs)) norms of each configuration.
+
+def _pattern_blocks(n, rows, buf):
+    """The rows of sign_patterns(n), `rows` (a power of two) at a time,
+    written into the float array buf, without the table. With rows = 2^b,
+    the last b columns of a block are the same in every block (those of
+    sign_patterns(b + 1) past its first), and its first n - b columns are
+    constants, set from the block index t: column j holds
+    1 - 2 * bit (n - b - 1 - j) of t. A table that fits in one block is
+    that block."""
+    if n > ENUM_CAP:
+        raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
+    m = 2 ** (n - 1)
+    if m <= rows:
+        buf[:m] = sign_patterns(n)
+        yield buf[:m]
+        return
+    b = rows.bit_length() - 1
+    block = buf[:rows]
+    block[:, n - b:] = sign_patterns(b + 1)[:, 1:]
+    shifts = np.arange(n - b - 1, -1, -1)
+    for t in range(m // rows):
+        block[:, :n - b] = 1 - 2 * ((t >> shifts) & 1)
+        yield block
+
+
+def _spans(m, rows):
+    """(start, stop) of blocks of `rows` rows over m rows; a one-row tail
+    joins the block before it."""
+    starts = list(range(0, m, rows))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [m])
+
+
+def _weight_blocks(signs, m, rows, buf):
+    """(start, stop, block) over the rows of the weight table W that signs
+    gives (see sign_norms); pattern and drawn blocks are written into buf."""
+    if isinstance(signs, (int, np.integer)):
+        for t, block in enumerate(_pattern_blocks(signs, rows, buf)):
+            yield t * rows, t * rows + block.shape[0], block
+        return
+    for start, stop in _spans(m, rows):
+        if callable(signs):
+            block = buf[:stop - start]
+            signs(block)
+        else:
+            # an explicit float block: numpy multiplies a mixed int8 x
+            # float pair several times slower than two float arrays
+            block = np.asarray(signs[start:stop], dtype=float)
+        yield start, stop, block
+
+
+def sign_norms(signs, config, space, count=None):
+    """space.norm_rows(W @ config) for a weight table W, in row blocks.
+
+    signs gives W in one of three ways:
+      - an int n: the table sign_patterns(n), written block by block and
+        never built whole (see _pattern_blocks); sign_pattern(n, i)
+        rebuilds row i, such as the row of a maximum;
+      - a 2-d array: W itself, such as a weighted sign table;
+      - a callable draw(block) with a row count `count`: draw fills the
+        (k, n) float array block with the next k rows of W, block after
+        block in order, as a Monte Carlo chunk drawn from its own
+        generator.
+
+    config is one (n, dim) configuration, or a (k, n, dim) stack of them
+    with an int or a table; a stack gives the (k, len(W)) norms of each
+    configuration.
 
     Each block holds at most SIGN_BLOCK entries of the widest array
-    formed on it: the block of signs as floats, signs @ config, or the
-    rows space.norm_rows forms from that (a subspace maps them into its
-    ambient space). The temporaries so stay the same size whatever the
-    dimension. The rows per block are a power of two, which splits a
-    sign_patterns table into equal blocks and never leaves a one-row
-    tail (numpy hands that to gemv, which rounds differently from gemm).
-    Up to a few hundred coordinates the row norms then equal those of
-    the one-shot product bit for bit; past that BLAS may round a block
-    in another order. A stack is multiplied whole tables at a time, as
-    many configurations per block as fit; once one table fills a block,
-    each configuration takes the one-configuration path. A stack so
-    gives the norms of its configurations one by one, bit for bit within
-    the same limit.
+    formed on it: the block of weights, W @ config, or the rows
+    space.norm_rows forms from that (a subspace maps them into its
+    ambient space). So peak memory is one block, whatever the dimension.
+    A call allocates one working array, for the weight block and the
+    product, and reuses it for every block: blocks of this size taken
+    afresh each time went back to the operating system between uses and
+    faulted their pages in again. The space works in each product in
+    place. The rows per block are a power
+    of two, which splits a sign table into equal blocks; a one-row tail
+    joins the block before it, since numpy hands a one-row product to
+    gemv, which rounds differently from gemm. Up to a few hundred
+    coordinates the row norms then equal those of the one-shot product
+    bit for bit; past that BLAS may round a block in another order. A
+    stack is multiplied whole tables at a time, as many configurations
+    per block as fit; once one table fills a block, each configuration
+    takes the one-configuration path. A stack so gives the norms of its
+    configurations one by one, bit for bit within the same limit.
     """
-    width = max(signs.shape[1], config.shape[-1], space.row_width)
+    n, dim = config.shape[-2:]
+    width = max(n, dim, space.row_width)
     rows = 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
+    whole = isinstance(signs, (int, np.integer))
+    m = count if callable(signs) else 2 ** (signs - 1) if whole else signs.shape[0]
     if config.ndim == 3:
-        m = signs.shape[0]
         out = np.empty((config.shape[0], m))
         if m >= rows:
             for i, c in enumerate(config):
-                out[i] = sign_norms(signs, c, space)
+                out[i] = sign_norms(signs, c, space, count)
             return out
         step = rows // m
-        table = np.asarray(signs, dtype=float)
+        table = np.asarray(sign_patterns(signs) if whole else signs, dtype=float)
+        prod = np.empty((min(step, config.shape[0]), m, dim))
         for start in range(0, config.shape[0], step):
-            prod = np.matmul(table, config[start:start + step])
-            out[start:start + step] = space.norm_rows(
-                prod.reshape(-1, config.shape[-1])).reshape(-1, m)
+            part = config[start:start + step]
+            block = np.matmul(table, part, out=prod[:len(part)])
+            out[start:start + step] = space._norm_rows(
+                block.reshape(-1, dim), owned=True).reshape(-1, m)
         return out
-    out = np.empty(signs.shape[0])
-    for start in range(0, signs.shape[0], rows):
-        # an explicit float block: numpy multiplies a mixed int8 x float
-        # pair several times slower than two float arrays
-        block = np.asarray(signs[start:start + rows], dtype=float)
-        out[start:start + rows] = space.norm_rows(block @ config)
+    k = min(m, rows + 1)  # rows of the tallest block: a joined tail adds one
+    work = np.empty(k * (n + dim))
+    buf, prod = work[:k * n].reshape(k, n), work[k * n:]
+    out = np.empty(m)
+    for start, stop, block in _weight_blocks(signs, m, rows, buf):
+        p = np.matmul(block, config, out=prod[:(stop - start) * dim].reshape(-1, dim))
+        out[start:stop] = space._norm_rows(p, owned=True)
     return out
 
 
@@ -291,11 +370,9 @@ def operator_norm(T, budget=32, seed=0):
     vertex = []
     if dom.is_linf:
         if dom.dim <= ENUM_CAP:
-            signs = sign_patterns(dom.dim)
-            vals = sign_norms(signs, A.T, cod)
+            vals = sign_norms(dom.dim, A.T, cod)
             i = int(np.argmax(vals))
-            # a float copy, so the estimate does not keep the whole table alive
-            return exact(vals[i], signs[i].astype(float), "enumeration")
+            return exact(vals[i], sign_pattern(dom.dim, i), "enumeration")
         val, wit = _vertex_ascent(A, cod, budget, seed)
         if not cod.is_quasi:
             return lower(val, wit, "vertex-ascent")
@@ -406,7 +483,7 @@ def weak_lq_upper(config, space, q):
         if n <= ENUM_CAP:
             # weak-1 moment equals the sign sup of the configuration, and
             # dominates every weak-q moment for q >= 1
-            bounds.append(np.max(sign_norms(sign_patterns(n), config, space), axis=-1))
+            bounds.append(np.max(sign_norms(n, config, space), axis=-1))
         bound = np.min(bounds, axis=0)
     return bound if stacked else float(bound)
 
@@ -437,11 +514,10 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
                         meta={"upper": float(s[0])})
 
     if q == 1.0 and n <= ENUM_CAP:
-        signs = sign_patterns(n)
-        vals = sign_norms(signs, config, space)
+        vals = sign_norms(n, config, space)
         i = int(np.argmax(vals))
         v = float(vals[i])
-        return Estimate(v, EXACT, witness={"signs": signs[i].astype(float)}, budget=0,
+        return Estimate(v, EXACT, witness={"signs": sign_pattern(n, i)}, budget=0,
                         seed=seed, meta={"upper": v})
 
     upper = weak_lq_upper(config, space, q)

@@ -16,7 +16,7 @@ import numpy as np
 from .averages import gaussian_average, rademacher_average
 from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
-from .linmaps import ENUM_CAP, identity_map, sign_norms, sign_patterns, weak_lq_upper
+from .linmaps import ENUM_CAP, identity_map, sign_norms, weak_lq_upper
 from .search import child_seeds, multistart_maximize
 from .snumbers import _approx_lower_from_l2, _coordinate_frames
 from .spaces import gweak
@@ -156,10 +156,8 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     s_search, s_final = child_seeds(seed, 2)
     use_enum = variable == "rademacher" and n <= ENUM_CAP
     if use_enum:
-        signs = sign_patterns(n)
-
         def denominator(config):
-            return float(np.mean(sign_norms(signs, config, X)))
+            return float(np.mean(sign_norms(n, config, X)))
     else:
         z = np.random.default_rng(s_search).standard_normal((samples, n)) \
             if variable == "gaussian" else \
@@ -174,9 +172,9 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
             return -np.inf
         return float(np.sum(X.norm_rows(config) ** q) ** (1.0 / q)) / den
 
-    # a stack meets the same sign table, or the same sample z (common
+    # a stack meets the same sign patterns, or the same sample z (common
     # random numbers), through the stacked sign_norms
-    draws = signs if use_enum else z
+    draws = n if use_enum else z
 
     def batch(C):
         num = np.sum(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n) ** q, axis=1) ** (1.0 / q)

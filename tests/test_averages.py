@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm as normal_dist
 
-from banachkit import (LinearMap, NormedSpace, contraction_check, ell_norm,
+from banachkit import (LinearMap, NormedSpace, SubspaceSpace, contraction_check, ell_norm,
                        gauss_vs_rademacher, gaussian_average, identity_map,
-                       lp, rademacher_average)
+                       lp, parse_space, rademacher_average)
+from banachkit import averages
+from banachkit.linmaps import SIGN_BLOCK
+from banachkit.search import child_seeds
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -162,3 +166,81 @@ def test_gauss_vs_rademacher_floor_and_degenerate():
 
     zero = gauss_vs_rademacher(np.zeros((2, 3)), space(2, 3), samples=1000, seed=31)
     assert zero["degenerate"] and zero["ratio"] is None
+
+
+def frozen_mc_average(config, space, moment, sampler, samples, seed):
+    """_mc_average as it was when each chunk was drawn and multiplied
+    whole, kept as the oracle of the block-by-block one."""
+    total, total_sq, count = 0.0, 0.0, 0
+    seeds = child_seeds(seed, (samples + 20_000 - 1) // 20_000)
+    for i, s in enumerate(seeds):
+        m = min(20_000, samples - i * 20_000)
+        rng = np.random.default_rng(s)
+        weights = sampler(rng, (m, config.shape[0]))
+        vals = space.norm_rows(weights @ config)
+        if moment == 2:
+            vals = vals**2
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals**2))
+        count += m
+    mean = total / count
+    var = max(total_sq / count - mean**2, 0.0) / count
+    return averages._finish(mean, var, moment, "monte-carlo", count, seed)
+
+
+#: (block filler of _mc_average, whole-chunk draw of the frozen copy)
+SAMPLERS = ((averages._draw_gaussians, lambda rng, shape: rng.standard_normal(shape)),
+            (averages._draw_signs, lambda rng, shape: rng.choice([-1.0, 1.0], size=shape)))
+
+
+@pytest.mark.parametrize("dim", [1, 7, 64, 128])
+def test_block_monte_carlo_equals_whole_chunks(dim):
+    # at 64 and 128 coordinates a block holds 4096 and 2048 rows, so 4097
+    # and 20_001 samples end in a one-row block and chunk; 1 is one row
+    rng = np.random.default_rng(80 + dim)
+    spaces = [parse_space(f"{fam}:{dim}") for fam in ("lp:2", "lp:1", "lorentz:2:1",
+                                                      "lorentz:2:inf", "gweak:pow:0.5")]
+    spaces.append(SubspaceSpace(rng.standard_normal((dim + 3, dim)),
+                                parse_space(f"lp:3:{dim + 3}")))
+    for samples in (1, 4097, 20_001, 24_097):
+        for sp in spaces:
+            config = rng.standard_normal((int(rng.integers(1, 17)), dim))
+            for fill, draw in SAMPLERS:
+                for moment in (1, 2):
+                    got = averages._mc_average(config, sp, moment, fill, samples, 9)
+                    assert got == frozen_mc_average(config, sp, moment, draw, samples, 9)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_averages_peak_at_a_few_blocks():
+    bound = 4 * SIGN_BLOCK * 8
+    rng = np.random.default_rng(90)
+    wide = rng.standard_normal((16, 1024))
+    # the whole-chunk draw formed 20_000 x 1024 products (164 MB)
+    assert traced_peak(lambda: gaussian_average(wide, parse_space("lp:3:1024"),
+                                                samples=40_000)) <= bound
+    # the 2^19 patterns are 2^19 norms (4 MB) and one block; the table
+    # was 10 MB more
+    config = rng.standard_normal((20, 32))
+    for moment in (1, 2):
+        assert traced_peak(lambda: rademacher_average(config, parse_space("lp:3:32"),
+                                                      moment=moment)) <= bound
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_monte_carlo_needs_a_sample(samples):
+    config = np.eye(4)
+    with pytest.raises(ValueError, match="samples"):
+        gaussian_average(config, space(2, 4), samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        rademacher_average(np.ones((24, 4)), space(2, 4), samples=samples)
+    # an enumerated sign average draws no samples
+    assert rademacher_average(config, space(1, 4), samples=samples).value == 4.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from banachkit import cli
 from banachkit.cli import build_parser, main
 from banachkit.reports import SuiteReport
 from banachkit.suites import SUITES, run_suite
@@ -140,6 +141,55 @@ def test_budget_is_refused_where_no_search_runs(capsys, argv):
     assert exc.value.code == 2
     assert "--budget" in capsys.readouterr().err
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [["avg", "--space", "lp:2:4", "--variable", "gaussian"],
+                                  ["pipeline", "--space", "lp:2:4"]])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sample_counts_below_one_are_usage_errors(capsys, argv, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--samples", samples])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "Traceback" not in err
+
+
+def test_one_parser_serves_successive_calls(capsys, monkeypatch, tmp_path):
+    report = tmp_path / "report.json"
+    calls = [["summing", "--space", "lp:1.5:3", "--n", "2", "--budget", "2",
+              "--out", str(report)],
+             ["cotype", "--space", "lp:3:3", "--n", "2"],
+             ["avg", "--space", "lp:1:3", "--samples", "500", "--variable", "gaussian"],
+             ["norm", "bogus:2:2", "--vec", "1,1"],
+             ["gauge", "--space", "lp:2:2", "--tau=1,1", "--budget", "1"],
+             ["snum", "--domain", "lp:2:3"],
+             ["summing", "--space", "lp:1.5:3", "--n", "2"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", build_parser())
+            report.unlink(missing_ok=True)
+            seen.append((run(capsys, *argv), report.exists()))
+        return seen
+
+    fresh = outcomes(fresh=True)
+    monkeypatch.setattr(cli, "_PARSER", build_parser())
+
+    def rebuild():
+        raise AssertionError("main built another parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    shared = outcomes(fresh=False)
+    assert shared == fresh
+    assert [code for (code, _, _), _ in shared] == [0, 0, 0, 2, 0, 0, 0]
+    # --out only where it was given; --budget back at its default of 32
+    assert [wrote for _, wrote in shared] == [True] + [False] * 6
+    assert shared[-1][0] == run(capsys, *calls[-1], "--budget", "32")
+    # the handler is looked up on each call, so a rebound one runs
+    monkeypatch.setattr(cli, "cmd_norm", lambda args: 7)
+    assert main(["norm", "lp:2", "--vec", "3,4"]) == 7
 
 
 def test_reports_reproduce_bitwise_given_seed():

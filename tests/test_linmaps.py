@@ -8,8 +8,8 @@ from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identit
                        lorentz, lp, operator_norm, parse_space, rademacher_average,
                        weak_lq_functional)
 from banachkit import linmaps
-from banachkit.linmaps import (SIGN_BLOCK, operator_norms, sign_norms, sign_patterns,
-                               weak_lq_upper)
+from banachkit.linmaps import (SIGN_BLOCK, operator_norms, sign_norms, sign_pattern,
+                               sign_patterns, weak_lq_upper)
 from banachkit.search import child_seeds, multistart_maximize, split_budget
 
 
@@ -142,6 +142,78 @@ def test_enumerated_witnesses_do_not_hold_the_pattern_table(monkeypatch):
         assert not np.shares_memory(witness, table)
         assert witness.dtype == np.float64
         assert any(np.array_equal(witness, row) for row in fresh)
+
+
+def _enum_space(name, dim, rng):
+    if name == "subspace":
+        return SubspaceSpace(rng.standard_normal((dim + 5, dim)), parse_space(f"lp:3:{dim + 5}"))
+    return parse_space(f"{name}:{dim}")
+
+
+ENUM_SPACES = ("lp:1.5", "lp:3", "lorentz:3:2", "lorentz:2:inf", "gweak:pow:0.5", "subspace")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 20])
+def test_table_free_enumeration_equals_the_table(n):
+    # n = 16 at dim 300 takes 32 blocks of 1024 rows, n = 20 at dim 12
+    # 64 blocks of 8192; the smaller tables fit in one block
+    rng = np.random.default_rng(40 + n)
+    table = sign_patterns(n)
+    for dim in ((12,) if n == 20 else (5, 40, 300) if n == 16 else (5, 40)):
+        for name in ENUM_SPACES:
+            sp = _enum_space(name, dim, rng)
+            config = rng.standard_normal((n, dim))
+            got = sign_norms(n, config, sp)
+            assert got.tobytes() == sign_norms(table, config, sp).tobytes()
+            if n < 20 and dim < 300:
+                stack = rng.standard_normal((3, n, dim))
+                assert (sign_norms(n, stack, sp).tobytes()
+                        == sign_norms(table, stack, sp).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 20])
+def test_rebuilt_sign_patterns_equal_the_table_rows(n):
+    table = sign_patterns(n)
+    rows = range(len(table)) if n <= 12 else [0, 1, 2**18, 2**19 - 1, 123_457, 400_001]
+    for i in rows:
+        got = sign_pattern(n, i)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, table[i])
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_enumerated_witnesses_are_the_table_rows_of_the_maximum(n):
+    rng = np.random.default_rng(60 + n)
+    table = sign_patterns(n)
+    A = rng.standard_normal((4, n))
+    est = operator_norm(LinearMap(A, space(math.inf, n), space(1.5, 4)))
+    vals = sign_norms(table, A.T, space(1.5, 4))
+    assert est.meta["route"] == "enumeration" and est.value == vals.max()
+    assert np.array_equal(est.witness, table[np.argmax(vals)])
+    config = rng.standard_normal((n, 3))
+    weak = weak_lq_functional(config, space(3, 3), 1)
+    vals = sign_norms(table, config, space(3, 3))
+    assert weak.direction == "exact" and weak.value == vals.max()
+    assert np.array_equal(weak.witness["signs"], table[np.argmax(vals)])
+
+
+def test_weight_tables_join_a_one_row_tail_to_the_block_before():
+    # 4097 rows at 4096 rows per block: one block of 4097, never a one-row
+    # product, which numpy hands to gemv
+    sp = parse_space("lp:3:64")
+    rng = np.random.default_rng(70)
+    config = rng.standard_normal((10, 64))
+    table = rng.standard_normal((4097, 10))
+    calls = []
+
+    def draw(block):
+        block[...] = table[sum(calls):sum(calls) + len(block)]
+        calls.append(len(block))
+
+    drawn = sign_norms(draw, config, sp, count=4097)
+    assert calls == [4097]
+    assert drawn.tobytes() == sign_norms(table, config, sp).tobytes()
+    assert drawn.tobytes() == sp.norm_rows(table @ config).tobytes()
 
 
 def test_operator_norm_exact_routes():
