@@ -53,7 +53,10 @@ def _finish(mean, var_of_mean, moment, method, samples, seed):
 
 
 def _draw_signs(rng, block):
-    block[...] = rng.choice([-1.0, 1.0], size=block.shape)
+    # rng.choice([-1.0, 1.0]) draws these indices and looks them up: the
+    # same stream, mapped to +-1 in place
+    np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+    block -= 1.0
 
 
 def _draw_gaussians(rng, block):

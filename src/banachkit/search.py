@@ -14,15 +14,15 @@ with the best vertex as one more start.
 
 Every caller passes a batch evaluator `rows` that scores many proposals
 at once. The starts are scored as one block, and so are the proposals
-still ahead in each polish sweep: the first proposal that improves is
-taken and the block is rebuilt from the new point at the next entry.
-Batch scores may differ from the scalar objective in the last bits, so
-they only pick rows: every accepted point is made by the scalar
-`project`, a score too close to call is settled by the scalar
-`objective`, and the value returned is objective(witness), re-read from
-the witness. The search therefore takes the same path, and returns the
-same witness and value, as a search that scored every proposal one at a
-time by project and objective.
+still ahead in each polish sweep: the first proposal whose batch score
+beats the current score by more than SCREEN_SLACK (relative) is taken,
+and the block is rebuilt from the new point at the next entry. A
+proposal within the slack of the current score is never taken, and
+costs no scalar call, though a search scoring one proposal at a time
+could take it. Batch scores may differ from the scalar objective in the
+last bits, far below the slack, so they only pick rows: every accepted
+point is made by the scalar `project`, and the value returned is
+objective(witness), re-read from the witness.
 """
 
 import numpy as np
@@ -38,9 +38,9 @@ STEP0 = 0.5
 #: proposals per polish sweep (two per visited entry)
 MAX_PROPOSALS = 48
 
-#: relative gap between a batch score and the scalar objective that the
-#: screen still lets through to the scalar check; far above the few ulps
-#: by which norm_rows and norm, or a gemm and a gemv, can differ
+#: relative gain over the current score that a batch score must exceed to
+#: be taken; far above the few ulps by which norm_rows and norm, or a gemm
+#: and a gemv, can differ, so a batch gain is a gain of the objective too
 SCREEN_SLACK = 1e-12
 
 
@@ -62,36 +62,25 @@ def split_budget(budget):
     return max(1, budget // sweeps), sweeps
 
 
-def _first_gain(P, x, score, value, objective, project, vals):
-    """First row of the proposal block P whose projection beats the
-    current point x by more than 1e-15.
+def _first_gain(P, x, score, project, vals):
+    """First row of the proposal block P whose batch score beats the
+    current score by more than the slack, projected by the scalar
+    project.
 
-    x has batch score `score` (its value, where no batch scored it) and
-    value objective(x), or None while nothing has needed it. vals holds
-    the batch scores of the rows of P. A batch score further than the
-    slack from the threshold decides a row alone; a closer one is
-    decided by the scalar values, as a one-at-a-time search would
-    decide it.
+    vals holds the batch scores of the rows of P; a row is taken if
+    vals[i] > floor + SCREEN_SLACK * |floor|, with floor = score + 1e-15,
+    and project does not reject it. Rows within the slack, and NaN
+    scores, are never taken.
 
-    Returns (row, point, score, value) of the gain, its value None if
-    only the batch scored it; (None, x, score, value) if no row gains.
+    Returns (row, point, score) of the gain; (None, x, score) if no row
+    gains.
     """
     floor = score + 1e-15
-    slack = SCREEN_SLACK * abs(floor)
-    for i in np.flatnonzero(~(vals <= floor - slack)):
+    for i in np.flatnonzero(vals > floor + SCREEN_SLACK * abs(floor)):
         cand = project(P[i].reshape(x.shape))
-        if cand is None:
-            continue
-        if vals[i] > floor + slack:
-            return i, cand, vals[i], None
-        if np.array_equal(cand, x):  # a proposal projected back onto x
-            continue
-        if value is None:
-            value = objective(x)
-        v = objective(cand)
-        if v > value + 1e-15:
-            return i, cand, v, v
-    return None, x, score, value
+        if cand is not None:
+            return i, cand, vals[i]
+    return None, x, score
 
 
 def _polish(x, value, objective, project, sweeps, rng, rows):
@@ -99,12 +88,12 @@ def _polish(x, value, objective, project, sweeps, rng, rows):
 
     A sweep visits up to MAX_PROPOSALS // 2 entries in a random order
     and proposes x + step, then x - step, at each; the first proposal
-    that beats the current value by more than 1e-15 is taken and the
-    sweep goes on at the next entry. A sweep without a gain halves the
-    step. The proposals still ahead in a sweep form one block scored by
-    rows.
+    taken by _first_gain moves x and the sweep goes on at the next entry.
+    A sweep without a gain halves the step. The proposals still ahead in
+    a sweep form one block scored by rows, and only batch scores decide.
 
-    Returns (objective(x), x) for the final point x.
+    Returns (objective(x), x) for the final point x: value if x never
+    moved, else objective(x) re-read once at the end.
     """
     x = np.array(x, dtype=float)
     score = value
@@ -120,10 +109,10 @@ def _polish(x, value, objective, project, sweeps, rng, rows):
             flat, moved = x.ravel(), entries[j:]
             P = flat[None].repeat(moved.size, axis=0)
             P[np.arange(moved.size), moved] = flat[moved] + deltas[j:]
-            i, x, score, value = _first_gain(P, x, score, value, objective, project, rows(P))
+            i, x, score = _first_gain(P, x, score, project, rows(P))
             if i is None:
                 break
-            improved = True
+            improved, value = True, None
             j = 2 * ((j + i) // 2 + 1)  # skip the other sign at this entry
         if not improved:
             step *= 0.5
@@ -146,9 +135,10 @@ def multistart_maximize(objective, *, shape, rows, structured=(), budget=0, seed
         unprojected proposals, each flattened from `shape`, and returns
         objective(project(p)) for every row p, with -inf where project
         would reject p. It may differ from the scalar value in the last
-        bits: it only screens the starts and each polish block, and the
-        points it picks are projected and scored again by project and
-        objective, which only ever see single arrays of `shape`.
+        bits: it screens the starts and decides each polish block, the
+        points it picks are projected by project, and objective scores
+        the kept starts and the final point; both only ever see single
+        arrays of `shape`.
 
     Returns (best value, best array), the value being objective(best
     array). Raises if no candidate is feasible.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averages import gaussian_average, rademacher_average
+from .averages import _draw_gaussians, _draw_signs, gaussian_average, rademacher_average
 from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
 from .linmaps import ENUM_CAP, identity_map, sign_norms, weak_lq_upper
@@ -156,25 +156,19 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     s_search, s_final = child_seeds(seed, 2)
     use_enum = variable == "rademacher" and n <= ENUM_CAP
     if use_enum:
-        def denominator(config):
-            return float(np.mean(sign_norms(n, config, X)))
+        draws = n
     else:
-        z = np.random.default_rng(s_search).standard_normal((samples, n)) \
-            if variable == "gaussian" else \
-            np.random.default_rng(s_search).choice([-1.0, 1.0], size=(samples, n))
+        draws = np.empty((samples, n))
+        sampler = _draw_gaussians if variable == "gaussian" else _draw_signs
+        sampler(np.random.default_rng(s_search), draws)
 
-        def denominator(config):
-            return float(np.mean(X.norm_rows(z @ config)))
-
+    # every candidate, alone or in a stack, meets the same sign patterns,
+    # or the same sample (common random numbers), through sign_norms
     def objective(config):
-        den = denominator(config)
+        den = float(np.mean(sign_norms(draws, config, X)))
         if den <= 0:
             return -np.inf
         return float(np.sum(X.norm_rows(config) ** q) ** (1.0 / q)) / den
-
-    # a stack meets the same sign patterns, or the same sample z (common
-    # random numbers), through the stacked sign_norms
-    draws = n if use_enum else z
 
     def batch(C):
         num = np.sum(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n) ** q, axis=1) ** (1.0 / q)

@@ -244,3 +244,17 @@ def test_monte_carlo_needs_a_sample(samples):
         rademacher_average(np.ones((24, 4)), space(2, 4), samples=samples)
     # an enumerated sign average draws no samples
     assert rademacher_average(config, space(1, 4), samples=samples).value == 4.0
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (5, 7), (4097, 10), (20000, 24)])
+def test_sign_draws_are_the_choice_stream(shape):
+    want = np.random.default_rng(12).choice([-1.0, 1.0], size=shape)
+    got = np.empty(shape)
+    averages._draw_signs(np.random.default_rng(12), got)
+    assert got.tobytes() == want.tobytes()
+    if len(shape) == 2:
+        # drawn block by block, the rows continue the stream of one draw
+        rng = np.random.default_rng(12)
+        for start, stop in ((0, 1), (1, shape[0] // 2 + 1), (shape[0] // 2 + 1, shape[0])):
+            averages._draw_signs(rng, got[start:stop])
+        assert got.tobytes() == want.tobytes()

@@ -6,11 +6,13 @@ import pytest
 from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gauges, gweak,
                        identity_map, linmaps, lorentz, lp, operator_norm, summing)
 from banachkit.growth import GrowthSequence
-from banachkit.search import child_seeds, multistart_maximize, split_budget
+from banachkit.search import SCREEN_SLACK, child_seeds, multistart_maximize, split_budget
 
 
 # -- the search as it was before batch evaluators: one scalar objective
 #    call per proposal; the reference the batched search must reproduce
+#    wherever no proposal gains by SCREEN_SLACK (relative) or less, a gain
+#    the batched search skips and this one takes
 
 
 def reference_polish(x, value, objective, project, sweeps, rng, step0=0.5, max_proposals=48):
@@ -178,6 +180,68 @@ def test_rejected_rows_are_never_accepted():
         val, wit = multistart_maximize(obj, shape=(2,), structured=[[2.0, 1.0], [0.0, 0.0]],
                                        budget=64, seed=1, project=proj, rows=rows)
         assert 0.2 < wit[0] <= 0.25 and val == objective(wit)
+
+
+def test_flat_proposals_cost_no_scalar_call():
+    # the max of the entries is flat along every proposal that moves
+    # another entry: those are ties, decided by the batch alone
+    objective = lambda x: float(np.max(x))
+    rows_seen, projected, evals = [], [], []
+
+    def obj(x):
+        evals.append(x.copy())
+        return objective(x)
+
+    def proj(x):
+        projected.append(x.copy())
+        return np.clip(x, -1.0, 1.0)
+
+    def rows(X):
+        vals = np.max(np.clip(X, -1.0, 1.0), axis=1)
+        rows_seen.append(vals)
+        return vals
+
+    e0, e3 = 0.3 * np.eye(6)[0], 0.3 * np.eye(6)[3]
+    val, wit = multistart_maximize(obj, shape=(6,), structured=[e0, e3, np.zeros(6)],
+                                   budget=8, seed=5, project=proj, rows=rows,
+                                   random_start=lambda rng: -rng.random(6))
+    assert val == 1.0 == objective(wit)
+    # the two starts that tie for the top batch score, then the final point
+    kept = [e0, e3]
+    assert len(evals) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(evals, kept + [wit]))
+    # project ran for the kept starts and for gains only
+    assert all(np.array_equal(a, b) for a, b in zip(projected, kept))
+    gains = [objective(np.clip(p, -1.0, 1.0)) for p in projected[2:]]
+    assert len(gains) >= 2 and np.all(np.diff([0.3] + gains) > 0)
+    # the polish blocks scored many more rows than the search took
+    assert sum(v.size for v in rows_seen[1:]) > 10 * len(gains)
+
+
+@pytest.mark.parametrize("gain, taken", [(0.99 * SCREEN_SLACK, False),
+                                         (1.01 * SCREEN_SLACK, True)])
+def test_a_batch_gain_is_taken_past_the_slack_only(gain, taken):
+    # 1.0 at the start 0; gain more for x > 0.25, which the first proposal
+    # x + 0.5 reaches; a random start at -1 scores 0
+    objective = lambda x: 1.0 + (gain if x[0] > 0.25 else 0.0) - (x[0] < -0.75)
+    rows = lambda X: np.array([objective(x) for x in X])
+    val, wit = multistart_maximize(objective, shape=(1,), structured=[[0.0]], budget=8,
+                                   seed=2, rows=rows, random_start=lambda rng: np.array([-1.0]))
+    assert (wit[0] > 0.25) == taken
+    assert val == (1.0 + gain if taken else 1.0) == objective(wit)
+
+
+def test_a_nan_batch_score_is_never_taken():
+    # the objective grows with x[0]; rows scores every proposal with
+    # x[0] > 0.25 NaN, and the search never takes one
+    objective = lambda x: float(x[0] + 0.1 * x[1])
+    rows = lambda X: np.where(X[:, 0] > 0.25, np.nan,
+                              np.clip(X[:, 0], -1, 1) + 0.1 * np.clip(X[:, 1], -1, 1))
+    obj, proj = guarded((2,), objective, lambda x: np.clip(x, -1.0, 1.0))
+    val, wit = multistart_maximize(obj, shape=(2,), structured=[[0.0, 0.0]], budget=64,
+                                   seed=1, project=proj, rows=rows,
+                                   random_start=lambda rng: rng.uniform(-1.0, 0.2, 2))
+    assert 0.2 < wit[0] <= 0.25 and val == objective(wit)
 
 
 def test_search_with_every_start_rejected_still_raises():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from banachkit import (C_delta, GrowthSequence, H_constant, LinearMap,
                        equal_norm_premise_check, identity_map, lp, pi_Y1,
                        pi_pq_n, equal_norm_inequality, weak_cotype_g)
 from banachkit.linmaps import weak_lq_upper
-from banachkit.spaces import gweak
+from banachkit.spaces import gweak, parse_space
 from banachkit.summing import PremiseError, ledger_from_report
 from banachkit.growth import validate_growth
 
@@ -216,3 +217,15 @@ def test_lower_estimates_reproducible_from_witness():
     num = float(np.sum(sp.norm_rows(config)))
     den = weak_lq_upper(config, sp, 1.0)
     assert num / den == pytest.approx(est.value, abs=1e-10)
+
+
+def test_gaussian_cotype_search_stays_within_a_few_blocks():
+    # the scalar denominator formed the whole 20_000 x 512 product of the
+    # search sample (82 MB), and the norm kernel a copy of it
+    tracemalloc.start()
+    try:
+        cotype_q_constant(parse_space("lp:2:512"), 2, 4, budget=1, variable="gaussian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
