@@ -5,17 +5,26 @@ global flip symmetry halves the pattern count). Beyond the cap, and
 for gaussian weights always, chunked Monte Carlo with per-chunk seeds
 derived from the master seed keeps results reproducible; each chunk
 draws its weights in row blocks, one after another, from its own
-generator. Both stream through linmaps.sign_norms, so peak memory is
-one block, whatever the dimension.
+generator. Both stream through the blocks of linmaps.sign_norms, so
+peak memory is a few blocks, whatever the dimension.
+
+A job of at least four blocks of entries runs on two threads, the
+calling thread and one pool thread, each with its own working array:
+an enumeration hands out its blocks and sums each block's norms (the
+sums added pairwise, as numpy adds the whole vector), a Monte Carlo
+average hands out its chunks. Results are combined in order, so they
+are those of one thread bit for bit.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .estimates import AverageResult
 # sign_patterns is unused here but stays bound: the benchmark's tracer patches it here too
-from .linmaps import ENUM_CAP, sign_norms, sign_pattern, sign_patterns  # noqa: F401
+from .linmaps import (ENUM_CAP, _chunk_norms, _sign_sum, sign_norms, sign_pattern,
+                      sign_patterns)  # noqa: F401
 from .search import child_seeds, multistart_maximize
 
 __all__ = [
@@ -63,25 +72,31 @@ def _draw_gaussians(rng, block):
     rng.standard_normal(out=block)
 
 
+def _chunk_sums(moment, vals):
+    """(sum, sum of squares) of the moments of a chunk's norms, worked out
+    in vals itself."""
+    vals = _moments(vals, moment)
+    total = float(np.sum(vals))
+    vals **= 2
+    return total, float(np.sum(vals))
+
+
 def _mc_average(config, space, moment, sampler, samples, seed):
     """Chunked Monte Carlo of ||sum_k w_k x_k||; sampler(rng, block) fills
     a float block with the next rows of weights from rng."""
     if samples < 1:
         raise ValueError(f"Monte Carlo needs samples >= 1, got {samples}")
-    total, total_sq, count = 0.0, 0.0, 0
-    seeds = child_seeds(seed, (samples + _CHUNK - 1) // _CHUNK)
-    for i, s in enumerate(seeds):
-        m = min(_CHUNK, samples - i * _CHUNK)
-        rng = np.random.default_rng(s)
-        # drawn in pieces, a generator gives the stream of one whole draw
-        vals = _moments(sign_norms(lambda block: sampler(rng, block), config, space,
-                                   count=m), moment)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-        count += m
-    mean = total / count
-    var = max(total_sq / count - mean**2, 0.0) / count
-    return _finish(mean, var, moment, "monte-carlo", count, seed)
+    counts = [min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
+    # drawn in pieces, a generator gives the stream of one whole draw
+    draws = [partial(sampler, np.random.default_rng(s))
+             for s in child_seeds(seed, len(counts))]
+    total, total_sq = 0.0, 0.0
+    for s, s_sq in _chunk_norms(draws, counts, config, space, partial(_chunk_sums, moment)):
+        total += s
+        total_sq += s_sq
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0) / samples
+    return _finish(mean, var, moment, "monte-carlo", samples, seed)
 
 
 def rademacher_average(config, space, moment=1, samples=100_000, seed=0, enum_cap=ENUM_CAP):
@@ -92,9 +107,9 @@ def rademacher_average(config, space, moment=1, samples=100_000, seed=0, enum_ca
     config = _as_config(config)
     n = config.shape[0]
     if n <= enum_cap:
-        vals = _moments(sign_norms(n, config, space), moment)
-        mean = float(np.mean(vals))
-        return _finish(mean, 0.0, moment, "exact-enumeration", vals.size, seed)
+        m = 2 ** (n - 1)
+        mean = float(_sign_sum(n, config, space, partial(_moments, moment=moment))) / m
+        return _finish(mean, 0.0, moment, "exact-enumeration", m, seed)
     return _mc_average(config, space, moment, _draw_signs, samples, seed)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimates import GaugeValue, Record
 from .growth import iterated_log, tower_index
-from .linmaps import ENUM_CAP, sign_norms, sign_patterns
+from .linmaps import ENUM_CAP, SIGN_BLOCK, sign_norms, sign_patterns
 from .search import child_seeds, multistart_maximize
 from .sequences import rearrange
 
@@ -41,8 +41,12 @@ __all__ = [
 def _gauge_objective(tau, space, kind):
     tau = np.asarray(tau, dtype=float)
     m = tau.size
-    signs = sign_patterns(m)
-    weighted = signs * tau
+    # the weighted sign table, built once where it fits in a block and
+    # otherwise scaled block by block inside sign_norms: the same blocks
+    if 2 ** (m - 1) * m <= SIGN_BLOCK:
+        signs, scale = sign_patterns(m) * tau, None
+    else:
+        signs, scale = m, tau
     if kind == "summing":
         reduce = np.max
     elif kind == "cotype":
@@ -56,7 +60,7 @@ def _gauge_objective(tau, space, kind):
         if config.ndim == 3:
             r_min = np.min(space.norm_rows(config.reshape(-1, config.shape[-1])).reshape(-1, m),
                            axis=1)
-            return reduce(sign_norms(weighted, config, space), axis=1) / r_min
+            return reduce(sign_norms(signs, config, space, scale=scale), axis=1) / r_min
         # rows are only approximately unit after projection; dividing by
         # the smallest row norm keeps the value a certified upper bound
         # (weights tau_k / r_k <= tau_k / r_min, then the contraction
@@ -66,7 +70,7 @@ def _gauge_objective(tau, space, kind):
         r_min = float(np.min(space.norm_rows(config)))
         if r_min == 0.0:
             return math.inf
-        return float(reduce(sign_norms(weighted, config, space))) / r_min
+        return float(reduce(sign_norms(signs, config, space, scale=scale))) / r_min
 
     return value
 

@@ -14,11 +14,16 @@ Every sign enumeration and Monte Carlo average of the package goes
 through sign_norms, which streams the product of a weight table and a
 configuration in row blocks of at most SIGN_BLOCK entries. A sign
 enumeration writes each block of patterns directly and a Monte Carlo
-chunk draws its weights block by block, so peak memory is one block,
-whatever the dimension.
+chunk draws its weights block by block, so peak memory is a few blocks,
+whatever the dimension. The blocks of a large enumeration or table, and
+the chunks of a large Monte Carlo average, run on the calling thread and
+one pool thread (see _fan_out), with the same results bit for bit.
 """
 
 import math
+import os
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -66,28 +71,80 @@ def sign_pattern(n, i):
     return 1.0 - 2.0 * ((i >> np.arange(n - 1, -1, -1)) & 1)
 
 
-def _pattern_blocks(n, rows, buf):
-    """The rows of sign_patterns(n), `rows` (a power of two) at a time,
-    written into the float array buf, without the table. With rows = 2^b,
-    the last b columns of a block are the same in every block (those of
-    sign_patterns(b + 1) past its first), and its first n - b columns are
-    constants, set from the block index t: column j holds
-    1 - 2 * bit (n - b - 1 - j) of t. A table that fits in one block is
-    that block."""
-    if n > ENUM_CAP:
-        raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
-    m = 2 ** (n - 1)
-    if m <= rows:
-        buf[:m] = sign_patterns(n)
-        yield buf[:m]
-        return
-    b = rows.bit_length() - 1
-    block = buf[:rows]
-    block[:, n - b:] = sign_patterns(b + 1)[:, 1:]
-    shifts = np.arange(n - b - 1, -1, -1)
-    for t in range(m // rows):
-        block[:, :n - b] = 1 - 2 * ((t >> shifts) & 1)
-        yield block
+#: blocks of entries a job must hold before it is spread over threads;
+#: smaller jobs gained no time from a second thread and paid its memory
+_FAN_OUT = 4
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: threads a fanned-out job runs on: the calling thread and at most one
+#: pool thread. Each holds a working array of up to two blocks, so a job
+#: holds at most four.
+_WORKERS = min(2, _cpus())
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _pool_thread():
+    """The one pool thread, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, not with the package: it adds to every start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="banachkit")
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child, which has no pool thread, only the executor."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fan_out(job, count, scratch):
+    """[job(i, s) for i in range(count)] with s one of scratch, whose
+    length is the thread count: the calling thread works with scratch[0]
+    and the pool thread with scratch[1], each taking the next i when it
+    is free. The results keep the order of i. An exception in either
+    thread stops the handing out and is raised here once both stopped."""
+    if len(scratch) == 1:
+        return [job(i, scratch[0]) for i in range(count)]
+    results = [None] * count
+    todo = deque(range(count))
+
+    def run(s):
+        try:
+            while True:
+                try:
+                    i = todo.popleft()  # deque pops are atomic
+                except IndexError:
+                    return
+                results[i] = job(i, s)
+        except BaseException:
+            todo.clear()
+            raise
+
+    future = _pool_thread().submit(run, scratch[1])
+    try:
+        run(scratch[0])
+    finally:
+        error = future.exception()  # waits for the pool thread
+    if error is not None:
+        raise error
+    return results
 
 
 def _spans(m, rows):
@@ -96,34 +153,186 @@ def _spans(m, rows):
     starts = list(range(0, m, rows))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
-    return zip(starts, starts[1:] + [m])
+    return list(zip(starts, starts[1:] + [m]))
 
 
-def _weight_blocks(signs, m, rows, buf):
-    """(start, stop, block) over the rows of the weight table W that signs
-    gives (see sign_norms); pattern and drawn blocks are written into buf."""
-    if isinstance(signs, (int, np.integer)):
-        for t, block in enumerate(_pattern_blocks(signs, rows, buf)):
-            yield t * rows, t * rows + block.shape[0], block
-        return
-    for start, stop in _spans(m, rows):
-        if callable(signs):
-            block = buf[:stop - start]
-            signs(block)
+def _keep(buf):
+    """buf itself: the prepare of a table or a draw, which share nothing
+    between blocks, and the reduce of sign_norms' one chunk."""
+    return buf
+
+
+def _pattern_fill(n, rows, scale):
+    """(spans, prepare, fill) of the table sign_patterns(n) * scale (scale
+    None: the signs), `rows` (a power of two) rows at a time, without the
+    table; see _weight_fill. With blocks of 2^b rows, the last b columns
+    are the same in every block (those of sign_patterns(b + 1) past its
+    first), and prepare writes them; the first n - b columns of block t
+    are constants, which fill sets: column j holds 1 - 2 * bit
+    (n - b - 1 - j) of t. A table that fits in one block is that block.
+    A sign times scale[j] is exact, so the blocks equal the rows of the
+    scaled table bit for bit."""
+    if n > ENUM_CAP:
+        raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
+    m = 2 ** (n - 1)
+    if m <= rows:
+        table = sign_patterns(n) if scale is None else sign_patterns(n) * scale
+
+        def prepare(buf):
+            buf[:m] = table
+
+        return [(0, m)], prepare, lambda start, stop, buf: buf[:m]
+    b = rows.bit_length() - 1
+    tail = sign_patterns(b + 1)[:, 1:]
+    shifts = np.arange(n - b - 1, -1, -1)
+
+    def prepare(buf):
+        if scale is None:
+            buf[:rows, n - b:] = tail
         else:
-            # an explicit float block: numpy multiplies a mixed int8 x
-            # float pair several times slower than two float arrays
-            block = np.asarray(signs[start:stop], dtype=float)
-        yield start, stop, block
+            np.multiply(tail, scale[n - b:], out=buf[:rows, n - b:])
+
+    def fill(start, stop, buf):
+        block = buf[:stop - start]
+        head = 1 - 2 * ((start >> b >> shifts) & 1)
+        block[:, :n - b] = head if scale is None else head * scale[:n - b]
+        return block
+
+    return [(start, start + rows) for start in range(0, m, rows)], prepare, fill
 
 
-def sign_norms(signs, config, space, count=None):
+def _weight_fill(signs, m, rows, scale):
+    """(spans, prepare, fill) of the weight table W that signs gives (see
+    sign_norms): spans lists the (start, stop) rows of its blocks;
+    prepare(buf), run on the calling thread, writes into a working
+    buffer what every block shares; fill(start, stop, buf)
+    returns that block of W, written into buf unless it is a view of W."""
+    if isinstance(signs, (int, np.integer)):
+        return _pattern_fill(int(signs), rows, scale)
+    if callable(signs):
+        def fill(start, stop, buf):
+            signs(buf[:stop - start])
+            return buf[:stop - start]
+    else:
+        def fill(start, stop, buf):
+            block = signs[start:stop]
+            if block.dtype != np.float64:
+                # numpy multiplies a mixed int8 x float pair several times
+                # slower than two float arrays
+                buf[:stop - start] = block
+                block = buf[:stop - start]
+            return block
+    return _spans(m, rows), _keep, fill
+
+
+class _Blocks:
+    """The blocks of sign_norms on an (n, dim) configuration (see
+    sign_norms): the widest row formed, the rows per block (the largest
+    power of two whose widest array fits in SIGN_BLOCK entries), the
+    row-norm kernel and working arrays. They are made on the calling
+    thread; norms then calls no function of the package that is not
+    private, so any thread may run it."""
+
+    def __init__(self, config, space):
+        n, dim = config.shape[-2:]
+        self.width = max(n, dim, space.row_width)
+        self.rows = 1 << (max(1, SIGN_BLOCK // self.width).bit_length() - 1)
+        self.config = config
+        self.kernel = space._row_kernel()
+
+    def threads(self, m):
+        """Threads for a job of m rows of weights: _WORKERS from _FAN_OUT
+        blocks of entries on, else one."""
+        return _WORKERS if m * self.width >= _FAN_OUT * SIGN_BLOCK else 1
+
+    def work(self, m):
+        """A working array for the blocks of a table of m rows, as the
+        weight buffer and the product buffer."""
+        n, dim = self.config.shape[-2:]
+        k = min(m, self.rows + 1)  # rows of the tallest block: a joined tail adds one
+        work = np.empty(k * (n + dim))
+        return work[:k * n].reshape(k, n), work[k * n:]
+
+    def norms(self, fill, start, stop, work):
+        """The row norms of rows start:stop of W @ config, with fill writing
+        the weight block into work (see _weight_fill)."""
+        buf, prod = work
+        dim = self.config.shape[-1]
+        block = fill(start, stop, buf)
+        return self.kernel(np.matmul(block, self.config,
+                                     out=prod[:(stop - start) * dim].reshape(-1, dim)))
+
+
+def _blockwise(plan, signs, m, scale, each):
+    """[each(start, stop, norms) for every block of sign_norms(signs,
+    plan.config, space)], with norms the row norms of rows start:stop of
+    W @ config (m rows), for an int or a table. The blocks run on
+    plan.threads(m) threads (see _fan_out); each may run on either."""
+    spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
+    works = [plan.work(m) for _ in range(plan.threads(m))]
+    for buf, _ in works:
+        prepare(buf)
+    return _fan_out(lambda i, work: each(*spans[i], plan.norms(fill, *spans[i], work)),
+                    len(spans), works)
+
+
+def _all_norms(plan, signs, m, scale, out):
+    """The m norms of _blockwise, written into out."""
+    def keep(start, stop, norms):
+        out[start:stop] = norms
+
+    _blockwise(plan, signs, m, scale, keep)
+    return out
+
+
+def _sign_sum(n, config, space, f):
+    """np.sum(f(sign_norms(n, config, space))) bit for bit, for an f that
+    works elementwise in place (f runs on any thread).
+
+    numpy sums a float64 vector pairwise, halving it down to runs of 128
+    entries. Blocks of a power of two rows, at least 128, are whole
+    subtrees of that sum, so a job spread over threads sums each block
+    and adds the sums pairwise, without the vector of 2^(n-1) norms.
+    """
+    plan = _Blocks(config, space)
+    m = 2 ** (n - 1)
+    if plan.rows < 128 or plan.threads(m) == 1:
+        return np.sum(f(_all_norms(plan, n, m, None, np.empty(m))))
+    sums = np.array(_blockwise(plan, n, m, None, lambda start, stop, norms: np.sum(f(norms))))
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
+
+
+def _chunk_norms(draws, counts, config, space, reduce):
+    """[reduce(sign_norms(draw, config, space, count)) for each draw and
+    count], bit for bit, reduce working in place on any thread. Two or
+    more chunks run on plan.threads(rows in all) threads (see _fan_out),
+    each thread drawing the chunks it takes block by block in order."""
+    plan = _Blocks(config, space)
+    fills = [_weight_fill(draw, m, plan.rows, None) for draw, m in zip(draws, counts)]
+    threads = plan.threads(sum(counts)) if len(counts) > 1 else 1
+    longest = max(counts)
+    scratch = [(plan.work(longest), np.empty(longest)) for _ in range(threads)]
+
+    def chunk(i, scratch):
+        work, out = scratch
+        spans, _, fill = fills[i]
+        for start, stop in spans:
+            out[start:stop] = plan.norms(fill, start, stop, work)
+        return reduce(out[:counts[i]])
+
+    return _fan_out(chunk, len(counts), scratch)
+
+
+def sign_norms(signs, config, space, count=None, *, scale=None):
     """space.norm_rows(W @ config) for a weight table W, in row blocks.
 
     signs gives W in one of three ways:
-      - an int n: the table sign_patterns(n), written block by block and
-        never built whole (see _pattern_blocks); sign_pattern(n, i)
-        rebuilds row i, such as the row of a maximum;
+      - an int n: the table sign_patterns(n), or sign_patterns(n) * scale
+        given a length-n scale, written block by block and never built
+        whole (see _pattern_fill); sign_pattern(n, i) rebuilds row i,
+        such as the row of a maximum;
       - a 2-d array: W itself, such as a weighted sign table;
       - a callable draw(block) with a row count `count`: draw fills the
         (k, n) float array block with the next k rows of W, block after
@@ -137,49 +346,55 @@ def sign_norms(signs, config, space, count=None):
     Each block holds at most SIGN_BLOCK entries of the widest array
     formed on it: the block of weights, W @ config, or the rows
     space.norm_rows forms from that (a subspace maps them into its
-    ambient space). So peak memory is one block, whatever the dimension.
-    A call allocates one working array, for the weight block and the
-    product, and reuses it for every block: blocks of this size taken
-    afresh each time went back to the operating system between uses and
-    faulted their pages in again. The space works in each product in
-    place. The rows per block are a power
-    of two, which splits a sign table into equal blocks; a one-row tail
-    joins the block before it, since numpy hands a one-row product to
-    gemv, which rounds differently from gemm. Up to a few hundred
-    coordinates the row norms then equal those of the one-shot product
-    bit for bit; past that BLAS may round a block in another order. A
-    stack is multiplied whole tables at a time, as many configurations
-    per block as fit; once one table fills a block, each configuration
-    takes the one-configuration path. A stack so gives the norms of its
-    configurations one by one, bit for bit within the same limit.
+    ambient space). The rows per block are a power of two, which splits
+    a sign table into equal blocks; a one-row tail joins the block before
+    it, since numpy hands a one-row product to gemv, which rounds
+    differently from gemm. Up to a few hundred coordinates the row norms
+    then equal those of the one-shot product bit for bit; past that BLAS
+    may round a block in another order. A stack is multiplied whole
+    tables at a time, as many configurations per block as fit; once one
+    table fills a block, each configuration takes the one-configuration
+    path. A stack so gives the norms of its configurations one by one,
+    bit for bit within the same limit.
+
+    An int or a table of at least four blocks of entries runs on two
+    threads, the calling thread and one pool thread, where the process
+    may use two CPUs; there is no setting for it. Each block keeps its
+    rows and its place, so the norms are those of one thread bit for
+    bit. Each thread works in one working array, for the weight block
+    and the product, allocated on the calling thread and reused for
+    every block it takes: blocks of this size taken afresh each time
+    went back to the operating system between uses and faulted their
+    pages in again. The space works in each product in place. So peak
+    memory is a few blocks, whatever the dimension.
     """
-    n, dim = config.shape[-2:]
-    width = max(n, dim, space.row_width)
-    rows = 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
     whole = isinstance(signs, (int, np.integer))
     m = count if callable(signs) else 2 ** (signs - 1) if whole else signs.shape[0]
     if config.ndim == 3:
-        out = np.empty((config.shape[0], m))
-        if m >= rows:
-            for i, c in enumerate(config):
-                out[i] = sign_norms(signs, c, space, count)
-            return out
-        step = rows // m
-        table = np.asarray(sign_patterns(signs) if whole else signs, dtype=float)
-        prod = np.empty((min(step, config.shape[0]), m, dim))
-        for start in range(0, config.shape[0], step):
-            part = config[start:start + step]
-            block = np.matmul(table, part, out=prod[:len(part)])
-            out[start:start + step] = space._norm_rows(
-                block.reshape(-1, dim), owned=True).reshape(-1, m)
+        return _stack_norms(signs, config, space, m, scale)
+    if callable(signs):
+        return _chunk_norms([signs], [m], config, space, _keep)[0]
+    return _all_norms(_Blocks(config, space), signs, m, scale, np.empty(m))
+
+
+def _stack_norms(signs, config, space, m, scale):
+    """sign_norms of a (k, n, dim) stack of configurations."""
+    out = np.empty((config.shape[0], m))
+    plan = _Blocks(config, space)
+    if m >= plan.rows:
+        for i, c in enumerate(config):
+            _all_norms(_Blocks(c, space), signs, m, scale, out[i])
         return out
-    k = min(m, rows + 1)  # rows of the tallest block: a joined tail adds one
-    work = np.empty(k * (n + dim))
-    buf, prod = work[:k * n].reshape(k, n), work[k * n:]
-    out = np.empty(m)
-    for start, stop, block in _weight_blocks(signs, m, rows, buf):
-        p = np.matmul(block, config, out=prod[:(stop - start) * dim].reshape(-1, dim))
-        out[start:stop] = space._norm_rows(p, owned=True)
+    step = plan.rows // m
+    dim = config.shape[-1]
+    if isinstance(signs, (int, np.integer)):
+        signs = sign_patterns(signs) if scale is None else sign_patterns(signs) * scale
+    table = np.asarray(signs, dtype=float)
+    prod = np.empty((min(step, config.shape[0]), m, dim))
+    for start in range(0, config.shape[0], step):
+        part = config[start:start + step]
+        block = np.matmul(table, part, out=prod[:len(part)])
+        out[start:start + step] = plan.kernel(block.reshape(-1, dim)).reshape(-1, m)
     return out
 
 

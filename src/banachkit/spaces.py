@@ -99,8 +99,9 @@ class SeqSpace:
         """
         return self._norm_rows(m, owned=False)
 
-    def _norm_rows(self, m, owned):
-        """norm_rows, in m itself if m is owned (see sequences._abs)."""
+    def _norm_rows(self, m, owned, weights=None):
+        """norm_rows, in m itself if m is owned (see sequences._abs); weights
+        are _weights(m.shape[1]), computed here when not given."""
         if self.family == "lp":
             a = _abs(m, owned)
             if self.p == math.inf:
@@ -111,13 +112,24 @@ class SeqSpace:
                 a **= self.p
             return np.sum(a, axis=1) ** (1.0 / self.p)
         a = _descending_rows(m, owned)
-        n = np.arange(1, a.shape[1] + 1, dtype=float)
+        if weights is None:
+            weights = self._weights(a.shape[1])
         if self.family == "lorentz" and self.q != math.inf:
             a **= self.q
-            a *= n ** (self.q / self.p - 1.0)
+            a *= weights
             return np.sum(a, axis=1) ** (1.0 / self.q)
-        a *= n ** (1.0 / self.p) if self.family == "lorentz" else self.g(n)
+        a *= weights
         return np.max(a, axis=1)
+
+    def _weights(self, width):
+        """What norm_rows multiplies descending rows of `width` entries by:
+        n^(q/p - 1), n^(1/p) or g(n) at n = 1..width; None for l_p."""
+        if self.family == "lp":
+            return None
+        n = np.arange(1, width + 1, dtype=float)
+        if self.family == "gweak":
+            return self.g(n)
+        return n ** (1.0 / self.p if self.q == math.inf else self.q / self.p - 1.0)
 
     # -- structural data -------------------------------------------------
 
@@ -274,8 +286,12 @@ class NormedSpace:
     def norm_rows(self, m):
         return self.space.norm_rows(self._check(m))
 
-    def _norm_rows(self, m, owned):
-        return self.space._norm_rows(self._check(m), owned)
+    def _row_kernel(self):
+        """norm_rows as a function of an owned float64 (k, dim) array, which
+        it works in. The weights are computed now, so the function calls no
+        method of a space or a growth sequence: any thread may run it."""
+        weights = self.space._weights(self.dim)
+        return lambda m: self.space._norm_rows(m, True, weights)
 
     @property
     def row_width(self):
@@ -368,12 +384,15 @@ class SubspaceSpace:
         return self.ambient.norm(self.basis @ np.asarray(x, dtype=float))
 
     def norm_rows(self, m):
-        # the fresh product is owned: the ambient kernel works in it
-        return self.ambient._norm_rows(np.asarray(m, dtype=float) @ self.basis.T, owned=True)
+        return self._row_kernel()(np.asarray(m, dtype=float))
 
-    def _norm_rows(self, m, owned):
-        """norm_rows; a subspace may be the ambient space of another."""
-        return self.norm_rows(m)
+    def _row_kernel(self):
+        """norm_rows of a float64 (k, dim) array as a function of it (see
+        NormedSpace._row_kernel); a subspace may be the ambient space of
+        another."""
+        ambient, basis_t = self.ambient._row_kernel(), self.basis.T
+        # the fresh product is owned: the ambient kernel works in it
+        return lambda m: ambient(m @ basis_t)
 
     @property
     def row_width(self):

@@ -1,4 +1,8 @@
+import importlib
+import inspect
 import math
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,11 +10,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm as normal_dist
 
-from banachkit import (LinearMap, NormedSpace, SubspaceSpace, contraction_check, ell_norm,
-                       gauss_vs_rademacher, gaussian_average, identity_map,
-                       lp, parse_space, rademacher_average)
-from banachkit import averages
-from banachkit.linmaps import SIGN_BLOCK
+from banachkit import (GrowthSequence, LinearMap, NormedSpace, SeqSpace, SubspaceSpace,
+                       contraction_check, ell_norm, gauss_vs_rademacher, gaussian_average,
+                       identity_map, lp, parse_space, rademacher_average)
+from banachkit import averages, linmaps
+from banachkit.linmaps import SIGN_BLOCK, sign_norms
 from banachkit.search import child_seeds
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -258,3 +262,127 @@ def test_sign_draws_are_the_choice_stream(shape):
         for start, stop in ((0, 1), (1, shape[0] // 2 + 1), (shape[0] // 2 + 1, shape[0])):
             averages._draw_signs(rng, got[start:stop])
         assert got.tobytes() == want.tobytes()
+
+
+def fan_out_space(name, dim, rng):
+    if name == "subspace":
+        return SubspaceSpace(rng.standard_normal((dim + 5, dim)), parse_space(f"lp:3:{dim + 5}"))
+    return parse_space(f"{name}:{dim}")
+
+
+@pytest.mark.parametrize("n, dim", [(16, 12), (16, 40), (16, 300), (20, 12)])
+def test_fanned_out_averages_equal_one_thread(monkeypatch, n, dim):
+    # every job of two blocks or more fans out; one thread sums the whole
+    # vector of norms, two sum blocks and add the sums pairwise
+    monkeypatch.setattr(linmaps, "_FAN_OUT", 1)
+    rng = np.random.default_rng(100 + n + dim)
+    for name in ("lp:3", "lorentz:3:2", "gweak:pow:0.5", "subspace"):
+        sp = fan_out_space(name, dim, rng)
+        config = rng.standard_normal((n, dim))
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(linmaps, "_WORKERS", workers)
+            got[workers] = [rademacher_average(config, sp, moment=moment)
+                            for moment in (1, 2)]
+            if n == 16 and dim < 300:
+                # three chunks, the last one short
+                got[workers] += [f(config, sp, moment=moment, samples=45_000, seed=3,
+                                   **kwargs)
+                                 for f, kwargs in ((gaussian_average, {}),
+                                                   (rademacher_average, {"enum_cap": 0}))
+                                 for moment in (1, 2)]
+        assert got[1] == got[2]
+
+
+@pytest.mark.parametrize("n, dim", [(16, 32), (20, 32), (16, 300), (9, 4096)])
+def test_streamed_enumeration_mean_is_the_mean_of_the_norms(monkeypatch, n, dim):
+    # blocks of 8192, 8192 and 512 rows are summed block by block; those of
+    # 64 rows at 4096 coordinates are too short, and the norms are kept
+    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    rng = np.random.default_rng(110 + n)
+    sp = parse_space(f"lorentz:2:1:{dim}")
+    config = rng.standard_normal((n, dim))
+    vals = sign_norms(n, config, sp)
+    assert rademacher_average(config, sp, moment=1).value == float(np.mean(vals))
+    assert rademacher_average(config, sp, moment=2).value == math.sqrt(np.mean(vals**2))
+
+
+#: the package's modules whose public functions the benchmark's tracer wraps
+TRACED_MODULES = ("sequences", "growth", "spaces", "search", "linmaps", "averages",
+                  "snumbers", "summing", "pipeline", "gauges", "reports", "suites", "cli")
+
+
+def test_pool_threads_call_nothing_public(monkeypatch):
+    # a tracer that wraps the public functions and the space and growth
+    # methods keeps one span stack: only the calling thread may enter them
+    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    callers, workers = set(), set()
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in TRACED_MODULES:
+        mod = importlib.import_module(f"banachkit.{name}")
+        for attr, obj in list(vars(mod).items()):
+            if (inspect.isfunction(obj) and not attr.startswith("_")
+                    and obj.__module__.startswith("banachkit")):
+                monkeypatch.setattr(mod, attr, recording(obj))
+    for cls in (SeqSpace, NormedSpace, SubspaceSpace, GrowthSequence):
+        for attr, obj in list(vars(cls).items()):
+            if inspect.isfunction(obj) and (attr == "__call__" or not attr.startswith("_")):
+                monkeypatch.setattr(cls, attr, recording(obj))
+    for attr in ("svd", "eig", "eigvals", "qr", "det", "norm"):
+        monkeypatch.setattr(np.linalg, attr, recording(getattr(np.linalg, attr)))
+    kernel = NormedSpace._row_kernel
+
+    def watched(self):
+        rows = kernel(self)
+
+        def run(m):
+            workers.add(threading.get_ident())
+            return rows(m)
+        return run
+
+    monkeypatch.setattr(NormedSpace, "_row_kernel", watched)
+    rng = np.random.default_rng(120)
+    sp = parse_space("gweak:pow:0.5:64")
+    # 8 blocks of 4096 patterns; 3 chunks, 11 blocks of 4096 draws
+    for _ in range(5):
+        rademacher_average(rng.standard_normal((16, 64)), sp)
+        gaussian_average(rng.standard_normal((8, 64)), sp, samples=45_000, seed=4)
+    main = threading.get_ident()
+    assert callers == {main}
+    assert workers - {main}, "the pool thread took no block"
+
+
+def _average_in_child(conn, config, sp):
+    res = gaussian_average(config, sp, moment=2, samples=45_000, seed=6)
+    conn.send((res.value, res.stderr))
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_runs_a_fanned_out_average(monkeypatch):
+    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    sp = parse_space("lp:3:64")
+    config = np.random.default_rng(130).standard_normal((8, 64))
+    want = gaussian_average(config, sp, moment=2, samples=45_000, seed=6)
+    assert linmaps._pool is not None  # the parent's pool thread is running
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_average_in_child, args=(send, config, sp))
+    child.start()
+    try:
+        # a child that kept the parent's executor would wait for ever on a
+        # thread that was not forked
+        assert receive.poll(60), "the forked child did not finish its average"
+        assert receive.recv() == (want.value, want.stderr)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive() and child.exitcode == 0

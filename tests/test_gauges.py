@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from banachkit import (GrowthSequence, NormedSpace, alternative_classify,
                        lorentz_norm, lp, opt_gauge, iterated_log_bound,
                        self_concavity_check, submultiplicativity_check,
                        tensor_square)
-from banachkit.gauges import reevaluate_gauge
+from banachkit.gauges import _gauge_objective, reevaluate_gauge
+from banachkit.linmaps import sign_norms, sign_patterns
 
 
 def spaces3():
@@ -44,6 +46,39 @@ def test_gauge_hand_examples():
     # coordinate witness in the sup-norm cube
     gv = opt_gauge(np.ones(4), NormedSpace(lp(math.inf), 4), "summing", budget=8, seed=0)
     assert gv.value <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["summing", "cotype"])
+def test_streamed_gauge_table_equals_the_whole_one(kind):
+    # past 15 entries the weighted table no longer fits in one block and
+    # is scaled block by block inside sign_norms
+    reduce = np.max if kind == "summing" else np.mean
+    rng = np.random.default_rng(12)
+    for m, dim in ((15, 6), (16, 6), (17, 24)):
+        sp = NormedSpace(lorentz(2, 1), dim)
+        tau = rng.uniform(0.1, 2.0, m)
+        table = sign_patterns(m) * tau
+        config = rng.standard_normal((m, dim))
+        config /= sp.norm_rows(config)[:, None]
+        value = _gauge_objective(tau, sp, kind)
+        r_min = float(np.min(sp.norm_rows(config)))
+        assert value(config) == float(reduce(sign_norms(table, config, sp))) / r_min
+        stack = np.stack([config, config[::-1]])
+        assert np.array_equal(value(stack), reduce(sign_norms(table, stack, sp), axis=1)
+                              / np.min(sp.norm_rows(stack.reshape(-1, dim)).reshape(2, m),
+                                       axis=1))
+
+
+def test_gauge_of_twenty_entries_holds_no_weighted_table():
+    # the weighted table of 20 entries alone is 80 MB
+    tracemalloc.start()
+    try:
+        gv = opt_gauge(np.ones(20), NormedSpace(lp(2), 20), "cotype", budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gv.value > 1.0
+    assert peak < 32 * 2**20
 
 
 def test_gauge_witness_reevaluates_and_is_unit():

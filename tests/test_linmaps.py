@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,77 @@ def test_enumerated_witnesses_are_the_table_rows_of_the_maximum(n):
     vals = sign_norms(table, config, space(3, 3))
     assert weak.direction == "exact" and weak.value == vals.max()
     assert np.array_equal(weak.witness["signs"], table[np.argmax(vals)])
+
+
+FAN_OUT_SPACES = ("lp:3", "lorentz:3:2", "gweak:pow:0.5", "subspace")
+
+
+@pytest.mark.parametrize("n, dim", [(16, 12), (16, 40), (16, 300), (20, 12), (20, 40),
+                                    (20, 300)])
+def test_fanned_out_sign_norms_equal_one_thread(monkeypatch, n, dim):
+    # every job of two blocks or more fans out: n = 16 at 12 coordinates
+    # is 2 blocks of 16384 rows, at 300 coordinates 64 blocks of 512
+    monkeypatch.setattr(linmaps, "_FAN_OUT", 1)
+    rng = np.random.default_rng(90 + n + dim)
+    # scaled tables at 12 coordinates only, and at n = 20 and 300
+    # coordinates l_p only: the others take seconds a call
+    scales = [None, rng.uniform(0.1, 2.0, n)] if dim == 12 else [None]
+    for name in FAN_OUT_SPACES if (n, dim) != (20, 300) else ("lp:3",):
+        sp = _enum_space(name, dim, rng)
+        config = rng.standard_normal((n, dim))
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(linmaps, "_WORKERS", workers)
+            got[workers] = [sign_norms(n, config, sp, scale=tau).tobytes() for tau in scales]
+        assert got[1] == got[2]
+
+
+def test_scaled_patterns_equal_the_weighted_table():
+    # the gauge's table, scaled block by block inside sign_norms
+    rng = np.random.default_rng(95)
+    for n, dim in ((3, 5), (15, 40), (16, 300), (17, 12)):
+        sp = parse_space(f"lorentz:2:1:{dim}")
+        tau = rng.uniform(0.1, 2.0, n)
+        table = sign_patterns(n) * tau
+        config = rng.standard_normal((n, dim))
+        assert (sign_norms(n, config, sp, scale=tau).tobytes()
+                == sign_norms(table, config, sp).tobytes())
+        stack = rng.standard_normal((2, n, dim))
+        assert (sign_norms(n, stack, sp, scale=tau).tobytes()
+                == sign_norms(table, stack, sp).tobytes())
+
+
+class PoolFailure(RuntimeError):
+    pass
+
+
+def test_an_error_in_the_pool_thread_is_raised_and_the_pool_recovers(monkeypatch):
+    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    sp = parse_space("lp:3:32")
+    config = np.random.default_rng(96).standard_normal((16, 32))
+    kernel = NormedSpace._row_kernel
+    main = threading.get_ident()
+    pool_ran = threading.Event()
+
+    def failing(self):
+        norms = kernel(self)
+
+        def rows(m):
+            if threading.get_ident() != main:
+                pool_ran.set()
+                raise PoolFailure("block on the pool thread")
+            pool_ran.wait(10)  # until the pool thread took a block
+            return norms(m)
+        return rows
+
+    monkeypatch.setattr(NormedSpace, "_row_kernel", failing)
+    with pytest.raises(PoolFailure):
+        sign_norms(16, config, sp)
+    assert pool_ran.is_set()
+    monkeypatch.setattr(NormedSpace, "_row_kernel", kernel)
+    got = sign_norms(16, config, sp)
+    monkeypatch.setattr(linmaps, "_WORKERS", 1)
+    assert got.tobytes() == sign_norms(16, config, sp).tobytes()
 
 
 def test_weight_tables_join_a_one_row_tail_to_the_block_before():
