@@ -29,6 +29,7 @@ import numpy as np
 
 from .estimates import Estimate, EXACT, LOWER
 from .search import child_seeds, multistart_maximize, split_budget
+from .spaces import lp
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
            "weak_lq_functional", "ENUM_CAP", "sign_norms", "sign_pattern"]
@@ -462,9 +463,10 @@ def _on_sphere(space, f):
     return rows
 
 
-def _vertex_ascents(A, cod, budget, seeds):
+def _vertex_ascents(A, cod, budget, seeds, vt=None):
     """Best vertex of the sign cube for x -> cod.norm(A_i @ x), for each
     map of a (k, n, N) stack, by single-flip ascent; (value, witness) pairs.
+    vt is np.linalg.svd(A, full_matrices=False)[2], taken here if not given.
 
     Starts of map i: the sign of the top right singular vector of A_i,
     the all-ones vector and split_budget(budget)[0] random sign vectors
@@ -479,7 +481,7 @@ def _vertex_ascents(A, cod, budget, seeds):
     vertices; the first maximum wins.
     """
     k, n, N = A.shape
-    top = np.linalg.svd(A, full_matrices=False)[2][:, 0]
+    top = (np.linalg.svd(A, full_matrices=False)[2] if vt is None else vt)[:, 0]
     E = np.ones((k, 2 + split_budget(budget)[0], N))
     E[:, 0] = np.where(top < 0, -1.0, 1.0)
     for i, seed in enumerate(seeds):
@@ -542,8 +544,9 @@ def operator_norm(T, budget=32, seed=0):
       - "enumeration": domain l_inf with at most ENUM_CAP coordinates,
         every vertex of the cube, exact.
       - "vertex-ascent": a larger l_inf domain and a normed codomain,
-        single-flip ascent over the cube's vertices (_vertex_ascent), a
-        witnessed lower bound: a convex norm of A x peaks at a vertex.
+        single-flip ascent over the cube's vertices (operator_norms of
+        the one map), a witnessed lower bound: a convex norm of A x
+        peaks at a vertex.
       - "search": everything else, the sphere search of
         search.multistart_maximize, a witnessed lower bound. On a
         quasi-normed codomain an interior point can beat every vertex,
@@ -561,10 +564,6 @@ def operator_norm(T, budget=32, seed=0):
     def exact(value, witness, route):
         return Estimate(float(value), EXACT, witness=witness, budget=0, seed=seed,
                         meta={"route": route})
-
-    def lower(value, witness, route):
-        return Estimate(float(value), LOWER, witness=witness, budget=budget, seed=seed,
-                        meta={"upper": norm_upper(T), "route": route})
 
     if T.is_euclidean:
         u, s, vt = np.linalg.svd(A)
@@ -588,10 +587,9 @@ def operator_norm(T, budget=32, seed=0):
             vals = sign_norms(dom.dim, A.T, cod)
             i = int(np.argmax(vals))
             return exact(vals[i], sign_pattern(dom.dim, i), "enumeration")
-        val, wit = _vertex_ascent(A, cod, budget, seed)
         if not cod.is_quasi:
-            return lower(val, wit, "vertex-ascent")
-        vertex = [wit]
+            return operator_norms(A[None], dom, cod, budget, seeds=[seed])[0]
+        vertex = [_vertex_ascent(A, cod, budget, seed)[1]]
 
     val, wit = multistart_maximize(
         lambda x: cod.norm(A @ x),
@@ -602,15 +600,17 @@ def operator_norm(T, budget=32, seed=0):
         project=lambda x: _to_sphere(dom, x),
         rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ A.T)),
     )
-    return lower(val, wit, "search")
+    return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
+                    meta={"upper": norm_upper(T), "route": "search"})
 
 
 def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
     """operator_norm of each map of a (k, n, N) stack with its own seed, bit
     for bit. On the vertex-ascent route (an l_inf domain past ENUM_CAP, a
     normed codomain other than l_inf, no zero map) the maps climb in one
-    _vertex_ascents call and meta["upper"] takes one stacked svd, in
-    norm_upper's order; every other route is a loop of operator_norm.
+    _vertex_ascents call, and meta["upper"] is norm_upper's bound with the
+    largest singular values of the stacked svd that starts the ascents;
+    every other route is a loop of operator_norm.
     """
     raw = np.asarray(matrices)
     maps = [LinearMap(M, domain, codomain) for M in raw]
@@ -619,10 +619,10 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
     if not (maps and domain.is_linf and domain.dim > ENUM_CAP and not codomain.is_linf
             and not codomain.is_quasi and np.any(raw, axis=(1, 2)).all()):
         return [operator_norm(T, budget, seed) for T, seed in zip(maps, seeds)]
-    # float64 before the products, as norm_upper's float() of each map's svd
-    smax = np.linalg.svd(raw, compute_uv=False)[:, 0].astype(float)
-    upper = codomain.le_euclid() * smax * domain.ge_euclid()
-    ascents = _vertex_ascents(np.asarray(raw, dtype=float), codomain, budget, seeds)
+    A = np.asarray(raw, dtype=float)
+    s, vt = np.linalg.svd(A, full_matrices=False)[1:]
+    upper = codomain.le_euclid() * s[:, 0] * domain.ge_euclid()
+    ascents = _vertex_ascents(A, codomain, budget, seeds, vt)
     return [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
                      meta={"upper": float(u), "route": "vertex-ascent"})
             for (v, w), seed, u in zip(ascents, seeds, upper)]
@@ -664,29 +664,17 @@ def dual_norm(space, functional, budget=32, seed=0):
                     meta={"upper": space.dual_upper(y)})
 
 
-def _weak_moment(config, x_star, q):
-    a = np.abs(config @ x_star)
-    if q == math.inf:
-        return float(np.max(a))
-    return float(np.sum(a**q) ** (1.0 / q))
-
-
 def weak_lq_upper(config, space, q):
     """Certified upper bound on sup over the dual unit ball of the
     weak l_q moment of a configuration.
 
     config is one (n, dim) configuration, or a (k, n, dim) stack of
-    them with one bound each. A stack takes its vector norms from
-    norm_rows; one configuration takes them from norm, whose last bits
-    set the witness normalization of the summing searches.
+    them with one bound each; the vector norms come from norm_rows.
     """
     config = np.asarray(config, dtype=float)
     stacked = config.ndim == 3
     n, dim = config.shape[-2:]
-    if stacked:
-        norms = space.norm_rows(config.reshape(-1, dim)).reshape(-1, n)
-    else:
-        norms = np.array([space.norm(x) for x in config])
+    norms = space.norm_rows(config.reshape(-1, dim)).reshape(config.shape[:-1])
     if q == math.inf:
         bound = np.max(norms, axis=-1)
     else:
@@ -736,6 +724,7 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
                         seed=seed, meta={"upper": v})
 
     upper = weak_lq_upper(config, space, q)
+    moment = lp(q)
 
     def project(z):
         du = space.dual_upper(z)
@@ -745,14 +734,13 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
         du = space.dual_upper_rows(Z)
         out = np.full(Z.shape[0], -np.inf)
         ok = du != 0.0
-        a = np.abs((Z[ok] / du[ok, None]) @ config.T)
-        out[ok] = np.max(a, axis=1) if q == math.inf else np.sum(a**q, axis=1) ** (1.0 / q)
+        out[ok] = moment.norm_rows((Z[ok] / du[ok, None]) @ config.T)
         return out
 
     structured = list(np.eye(dim))
     structured.append(config.sum(axis=0))
     val, wit = multistart_maximize(
-        lambda z: _weak_moment(config, z, q),
+        lambda z: moment.norm(config @ z),
         shape=(dim,),
         structured=structured,
         budget=budget,

@@ -19,10 +19,12 @@ beats the current score by more than SCREEN_SLACK (relative) is taken,
 and the block is rebuilt from the new point at the next entry. A
 proposal within the slack of the current score is never taken, and
 costs no scalar call, though a search scoring one proposal at a time
-could take it. Batch scores may differ from the scalar objective in the
-last bits, far below the slack, so they only pick rows: every accepted
-point is made by the scalar `project`, and the value returned is
-objective(witness), re-read from the witness.
+could take it. A scalar norm is a one-row call of the same row kernel
+as a batch, but a product of one vector goes to gemv and a block
+product to gemm, which round apart in the last bits, far below the
+slack. So batch scores only pick rows: every accepted point is made by
+the scalar `project`, and the value returned is objective(witness),
+re-read from the witness.
 """
 
 import numpy as np
@@ -39,8 +41,8 @@ STEP0 = 0.5
 MAX_PROPOSALS = 48
 
 #: relative gain over the current score that a batch score must exceed to
-#: be taken; far above the few ulps by which norm_rows and norm, or a gemm
-#: and a gemv, can differ, so a batch gain is a gain of the objective too
+#: be taken; far above the few ulps by which a gemm and a gemv can differ,
+#: so a batch gain is a gain of the objective too
 SCREEN_SLACK = 1e-12
 
 

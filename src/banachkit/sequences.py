@@ -2,12 +2,14 @@
 
 All norms here act on finitely supported real or complex vectors and are
 invariant under permutations and sign changes; they only see the
-non-increasing rearrangement of the absolute values.
+non-increasing rearrangement of the absolute values. The norm formulas
+live in the row kernels of spaces.SeqSpace; the norms here are one-row
+calls of them.
 """
 
 import numpy as np
 
-__all__ = ["rearrange", "lorentz_norm", "gweak_norm"]
+__all__ = ["rearrange", "as_row", "lorentz_norm", "gweak_norm"]
 
 
 def _abs(x, owned=False):
@@ -32,9 +34,15 @@ def rearrange(x):
     return -np.sort(-a, kind="stable")
 
 
-def _support(x):
-    s = rearrange(x)
-    return s[s > 0.0]
+def as_row(x, g=None):
+    """x as a one-row block for the row kernels of spaces.SeqSpace. A
+    growth table g is never extrapolated, and a norm graded by it sees
+    only the support of x, so an x longer than the table loses its
+    zeros: they add nothing to a max or a sum."""
+    row = np.asarray(x).reshape(1, -1)
+    if g is not None and g.max_n is not None and row.shape[1] > g.max_n:
+        row = row[:, row[0] != 0]
+    return row
 
 
 def lorentz_norm(x, p, q):
@@ -43,29 +51,21 @@ def lorentz_norm(x, p, q):
     For finite q this is (sum_n (n^(1/p) x*_n)^q / n)^(1/q); for q = inf
     it is sup_n n^(1/p) x*_n, where x* is the non-increasing
     rearrangement. The q = p diagonal coincides with the plain l_p norm.
+    The value is the norm of spaces.lorentz(p, q), bit for bit.
     """
-    p = float(p)
+    from .spaces import lorentz  # spaces imports this module
+
+    p, q = float(p), float(q)
     if p < 1.0:
         raise ValueError(f"lorentz_norm requires p >= 1, got p={p}")
-    s = _support(x)
-    if s.size == 0:
-        return 0.0
-    n = np.arange(1, s.size + 1, dtype=float)
-    if q == np.inf:
-        return float(np.max(n ** (1.0 / p) * s))
-    q = float(q)
     if q < 1.0:
         raise ValueError(f"lorentz_norm requires q >= 1, got q={q}")
-    # exponent q/p - 1 is exactly 0.0 when q == p, so the l_p diagonal is
-    # reproduced without rounding from the n^(1/p) factor
-    e = q / p - 1.0
-    return float(np.sum(s**q * n**e) ** (1.0 / q))
+    return lorentz(p, q).norm(x)
 
 
 def gweak_norm(x, g):
-    """Weak norm sup_n g(n) x*_n for a growth sequence g with g(1) = 1."""
-    s = _support(x)
-    if s.size == 0:
-        return 0.0
-    n = np.arange(1, s.size + 1)
-    return float(np.max(g(n) * s))
+    """Weak norm sup_n g(n) x*_n for a growth sequence g with g(1) = 1;
+    the norm of spaces.gweak(g), bit for bit."""
+    from .spaces import gweak  # spaces imports this module
+
+    return gweak(g).norm(x)

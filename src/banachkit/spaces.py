@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .growth import GrowthSequence
-from .sequences import _abs, gweak_norm, lorentz_norm, rearrange
+from .sequences import _abs, as_row
 
 __all__ = [
     "SeqSpace",
@@ -79,23 +79,17 @@ class SeqSpace:
     # -- norm evaluation ------------------------------------------------
 
     def norm(self, x):
-        if self.family == "lp":
-            a = _abs(x)
-            if self.p == math.inf:
-                return float(np.max(a)) if a.size else 0.0
-            return float(np.sum(a**self.p) ** (1.0 / self.p))
-        if self.family == "lorentz":
-            return lorentz_norm(x, self.p, self.q)
-        return gweak_norm(x, self.g)
+        """norm_rows of x as one row, bit for bit; 0.0 for an empty x."""
+        x = as_row(x, self.g)
+        return float(self._norm_rows(x, owned=False)[0]) if x.size else 0.0
 
     def norm_rows(self, m):
-        """Vectorized norm of every row of a 2-d array.
+        """Vectorized norm of every row of a 2-d array; the one place the
+        norm formulas live (norm is a one-row call of it).
 
         m is never written. The call works in one fresh float64 array,
-        |m|, which it raises to the power, sorts and weights in place; the
-        results equal those of the out-of-place expressions it replaces
-        (np.abs(m).astype(float), -np.sort(-m), s**q * w) bit for bit on
-        float input; bool and integer blocks are cast before abs.
+        |m|, which it raises to the power, sorts and weights in place;
+        bool and integer blocks are cast to float64 before abs.
         """
         return self._norm_rows(m, owned=False)
 
@@ -180,46 +174,26 @@ class SeqSpace:
         return self.family != "lorentz" or self.q == math.inf
 
     def dual_exact(self, y):
-        """Exact dual-norm value where a closed form exists
-        (has_exact_dual), else None.
-
-        l_p duals are l_{p'}; for the weak families the dual pairing is
-        maximized by aligning the rearrangement of y against the extreme
-        profile 1/g(k), giving sum_k y*_k / g(k) exactly.
-        """
-        if not self.has_exact_dual:
-            return None
-        y = np.asarray(y, dtype=float)
-        if self.family == "lp":
-            return SeqSpace("lp", p=_conjugate(self.p)).norm(y)
-        s = rearrange(y)
-        s = s[s > 0]
-        if s.size == 0:
-            return 0.0
-        ks = np.arange(1, s.size + 1)
-        if self.family == "lorentz":
-            return float(np.sum(s * ks ** (-1.0 / self.p)))
-        return float(np.sum(s / self.g(ks)))
+        """dual_upper(y) where it is the exact dual norm (has_exact_dual),
+        else None."""
+        return self.dual_upper(y) if self.has_exact_dual else None
 
     def dual_upper(self, y):
-        """Certified upper bound on the dual norm of y (exact where a
-        closed form exists; the l_{p',q'} Lorentz norm otherwise)."""
-        exact = self.dual_exact(y)
-        if exact is not None:
-            return exact
-        # lorentz with finite q: Hardy-Littlewood plus Hoelder in the
-        # weighted l_q pairing gives <x,y> <= ||x||_{p,q} ||y||_{p',q'}
-        return lorentz_norm(y, _conjugate(self.p), _conjugate(self.q))
+        """dual_upper_rows of y as one row, bit for bit; 0.0 for an empty y."""
+        y = as_row(y, self.g)
+        return float(self.dual_upper_rows(y)[0]) if y.size else 0.0
 
     def dual_upper_rows(self, m):
-        """dual_upper of every row of a 2-d array, up to rounding."""
+        """Certified upper bound on the dual norm of every row of a 2-d
+        array, exact where has_exact_dual: l_p duals are l_{p'}; for the
+        weak families, the rearrangement against the extreme profile
+        k^(-1/p) or 1/g(k). For lorentz with finite q, Hardy-Littlewood
+        plus Hoelder give <x,y> <= ||x||_{p,q} ||y||_{p',q'}."""
         m = np.asarray(m, dtype=float)
         if self.family == "lp":
             return SeqSpace("lp", p=_conjugate(self.p)).norm_rows(m)
         if self.family == "lorentz" and self.q != math.inf:
             return SeqSpace("lorentz", p=_conjugate(self.p), q=_conjugate(self.q)).norm_rows(m)
-        # the closed forms of dual_exact: the rearrangement against the
-        # extreme profile k^(-1/p) or 1/g(k)
         a = _descending_rows(m)
         ks = np.arange(1, m.shape[1] + 1)
         a *= ks ** (-1.0 / self.p) if self.family == "lorentz" else 1.0 / self.g(ks)
@@ -381,7 +355,7 @@ class SubspaceSpace:
         self._smax, self._smin = float(sv[0]), float(sv[-1])
 
     def norm(self, x):
-        return self.ambient.norm(self.basis @ np.asarray(x, dtype=float))
+        return float(self.norm_rows(np.reshape(x, (1, -1)))[0])
 
     def norm_rows(self, m):
         return self._row_kernel()(np.asarray(m, dtype=float))
@@ -430,10 +404,10 @@ class SubspaceSpace:
         return None
 
     def dual_upper(self, y):
-        # <c, y> <= ||c||_2 ||y||_2 <= ge_euclid ||c||_X ||y||_2
-        return self.ge_euclid() * float(np.linalg.norm(y))
+        return float(self.dual_upper_rows(np.reshape(y, (1, -1)))[0])
 
     def dual_upper_rows(self, m):
+        # <c, y> <= ||c||_2 ||y||_2 <= ge_euclid ||c||_X ||y||_2
         return self.ge_euclid() * np.linalg.norm(m, axis=1)
 
     def describe(self):

@@ -19,7 +19,7 @@ from .growth import validate_growth
 from .linmaps import ENUM_CAP, identity_map, sign_norms, weak_lq_upper
 from .search import child_seeds, multistart_maximize
 from .snumbers import _approx_lower_from_l2, _coordinate_frames
-from .spaces import gweak
+from .spaces import gweak, lp
 
 __all__ = [
     "pi_pq_n",
@@ -106,8 +106,8 @@ def pi_pq_n(T, p, q, n, budget=32, seed=0):
     p, q = float(p), float(q)
     if not (p >= q >= 1.0):
         raise ValueError("summing norms need p >= q >= 1")
-    val, wit = _summing_search(T, q, n, lambda norms: float(np.sum(norms**p) ** (1.0 / p)),
-                               lambda N: np.sum(N**p, axis=1) ** (1.0 / p), budget, seed)
+    strong = lp(p)
+    val, wit = _summing_search(T, q, n, strong.norm, strong.norm_rows, budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"p": p, "q": q, "n": n})
 
@@ -162,16 +162,18 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
         sampler = _draw_gaussians if variable == "gaussian" else _draw_signs
         sampler(np.random.default_rng(s_search), draws)
 
+    strong = lp(q)
+
     # every candidate, alone or in a stack, meets the same sign patterns,
     # or the same sample (common random numbers), through sign_norms
     def objective(config):
         den = float(np.mean(sign_norms(draws, config, X)))
         if den <= 0:
             return -np.inf
-        return float(np.sum(X.norm_rows(config) ** q) ** (1.0 / q)) / den
+        return strong.norm(X.norm_rows(config)) / den
 
     def batch(C):
-        num = np.sum(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n) ** q, axis=1) ** (1.0 / q)
+        num = strong.norm_rows(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n))
         return num / np.mean(sign_norms(draws, C, X), axis=1)
 
     val, wit = _config_search(objective, batch, X, n, budget, seed)
@@ -182,7 +184,7 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     avg = (gaussian_average if variable == "gaussian" else rademacher_average)(
         wit, X, moment=1, samples=final_samples, seed=s_final
     )
-    num = float(np.sum(X.norm_rows(wit) ** q) ** (1.0 / q))
+    num = strong.norm(X.norm_rows(wit))
     value = num / avg.value if avg.value > 0 else 0.0
     stderr = value * avg.stderr / avg.value if avg.value > 0 else 0.0
     return Estimate(value, LOWER, witness=wit, budget=budget, seed=seed, stderr=stderr,

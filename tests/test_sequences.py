@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from banachkit import GrowthSequence, gweak_norm, lorentz_norm, rearrange
+from banachkit import GrowthSequence, gweak, gweak_norm, lorentz_norm, rearrange
 
 
 def test_rearrange_hand_values():
@@ -74,3 +74,14 @@ def test_norms_invariant_under_rearrangement():
             lambda v: gweak_norm(v, g),
         ):
             assert norm(x) == pytest.approx(norm(y), rel=1e-14)
+
+
+def test_gweak_past_a_growth_table_needs_only_the_support_to_fit():
+    g = GrowthSequence.from_table({1: 1, 2: 1.5, 3: 2})
+    x = (3, 0, 0, 0, 0, 1)
+    assert gweak_norm(x, g) == 3.0
+    assert gweak(g).norm(x) == 3.0
+    assert gweak(g).dual_exact(x) == 3 + 1 / 1.5
+    assert gweak_norm((0,) * 6, g) == 0.0
+    with pytest.raises(ValueError, match="no entry for n=4"):
+        gweak_norm((1, 1, 1, 1, 0), g)
