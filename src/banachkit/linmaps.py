@@ -7,8 +7,10 @@ bound from Euclidean comparison constants; meta["route"] names the
 route (see operator_norm). Out of a larger l_inf cube the lower bound
 comes from single-flip ascent over the cube's vertices, everywhere else
 from the sphere search of search.multistart_maximize. Both score whole
-blocks of proposals through norm_rows; operator_norms climbs the cube
-ascents of a stack of maps in lockstep.
+blocks of proposals through norm_rows. Every route lives in
+operator_norms, which takes a stack of maps at once where the route
+allows (the cube ascents climb in lockstep); operator_norm is its
+one-map call.
 
 Every sign enumeration and Monte Carlo average of the package goes
 through sign_norms, which streams the product of a weight table and a
@@ -28,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from .estimates import Estimate, EXACT, LOWER
-from .search import child_seeds, multistart_maximize, split_budget
+from .search import best_start, child_seeds, multistart_maximize, split_budget
 from .spaces import lp
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
@@ -437,13 +439,6 @@ def identity_map(space):
     return LinearMap(np.eye(space.dim), space, space)
 
 
-def norm_upper(T):
-    """Certified upper bound on the operator norm via the Euclidean
-    comparison constants of the two spaces."""
-    smax = float(np.linalg.svd(T.matrix, compute_uv=False)[0]) if T.matrix.size else 0.0
-    return T.codomain.le_euclid() * smax * T.domain.ge_euclid()
-
-
 def _to_sphere(space, x):
     """x scaled onto the unit sphere of space; None for the zero vector."""
     nrm = space.norm(x)
@@ -532,8 +527,24 @@ def _vertex_ascent(A, cod, budget, seed):
     return _vertex_ascents(np.asarray(A, dtype=float)[None], cod, budget, [seed])[0]
 
 
+def _route(dom, cod):
+    """The route of operator_norm for a nonzero map dom -> cod."""
+    if dom.is_euclidean and cod.is_euclidean:
+        return "svd"
+    if dom.is_l1:
+        return "l1-columns"
+    if cod.is_linf and dom.has_exact_dual:
+        return "linf-rows"
+    if dom.is_linf and dom.dim <= ENUM_CAP:
+        return "enumeration"
+    if dom.is_linf and not cod.is_quasi:
+        return "vertex-ascent"
+    return "search"
+
+
 def operator_norm(T, budget=32, seed=0):
-    """Operator norm of T, exact on the closed-form routes.
+    """Operator norm of T, exact on the closed-form routes: operator_norms
+    of the one map T.
 
     meta["route"] names the route that produced the value:
       - "zero": the zero map, exact.
@@ -544,88 +555,136 @@ def operator_norm(T, budget=32, seed=0):
       - "enumeration": domain l_inf with at most ENUM_CAP coordinates,
         every vertex of the cube, exact.
       - "vertex-ascent": a larger l_inf domain and a normed codomain,
-        single-flip ascent over the cube's vertices (operator_norms of
-        the one map), a witnessed lower bound: a convex norm of A x
-        peaks at a vertex.
+        single-flip ascent over the cube's vertices, a witnessed lower
+        bound: a convex norm of A x peaks at a vertex.
       - "search": everything else, the sphere search of
-        search.multistart_maximize, a witnessed lower bound. On a
-        quasi-normed codomain an interior point can beat every vertex,
-        so out of a large l_inf cube the best vertex of the ascent is one
-        more start of the search.
-    The lower routes carry the comparison-constant upper bound in
-    meta["upper"].
+        search.multistart_maximize from the coordinate vectors and the
+        all-ones vector, a witnessed lower bound. On a quasi-normed
+        codomain an interior point can beat every vertex, so out of a
+        large l_inf cube the best vertex of the ascent is one more start.
+    The lower routes carry the comparison-constant upper bound
+    le_euclid(Y) smax(A) ge_euclid(X) in meta["upper"].
     """
-    A = np.asarray(T.matrix, dtype=float)
-    if not np.any(A):
-        return Estimate(0.0, EXACT, witness=None, budget=0, seed=seed,
-                        meta={"route": "zero"})
-    dom, cod = T.domain, T.codomain
-
-    def exact(value, witness, route):
-        return Estimate(float(value), EXACT, witness=witness, budget=0, seed=seed,
-                        meta={"route": route})
-
-    if T.is_euclidean:
-        u, s, vt = np.linalg.svd(A)
-        return exact(s[0], vt[0], "svd")
-
-    if dom.is_l1:
-        vals = cod.norm_rows(A.T)
-        j = int(np.argmax(vals))
-        w = np.zeros(dom.dim)
-        w[j] = 1.0
-        return exact(vals[j], w, "l1-columns")
-
-    if cod.is_linf and dom.has_exact_dual:
-        duals = dom.dual_upper_rows(A)  # the closed forms of dual_exact, row-wise
-        i = int(np.argmax(duals))
-        return exact(duals[i], {"row": i}, "linf-rows")
-
-    vertex = []
-    if dom.is_linf:
-        if dom.dim <= ENUM_CAP:
-            vals = sign_norms(dom.dim, A.T, cod)
-            i = int(np.argmax(vals))
-            return exact(vals[i], sign_pattern(dom.dim, i), "enumeration")
-        if not cod.is_quasi:
-            return operator_norms(A[None], dom, cod, budget, seeds=[seed])[0]
-        vertex = [_vertex_ascent(A, cod, budget, seed)[1]]
-
-    val, wit = multistart_maximize(
-        lambda x: cod.norm(A @ x),
-        shape=(dom.dim,),
-        structured=[*np.eye(dom.dim), np.ones(dom.dim), *vertex],
-        budget=budget,
-        seed=seed,
-        project=lambda x: _to_sphere(dom, x),
-        rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ A.T)),
-    )
-    return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
-                    meta={"upper": norm_upper(T), "route": "search"})
+    return operator_norms(T.matrix[None], T.domain, T.codomain, budget, seeds=[seed])[0]
 
 
 def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
-    """operator_norm of each map of a (k, n, N) stack with its own seed, bit
-    for bit. On the vertex-ascent route (an l_inf domain past ENUM_CAP, a
-    normed codomain other than l_inf, no zero map) the maps climb in one
-    _vertex_ascents call, and meta["upper"] is norm_upper's bound with the
-    largest singular values of the stacked svd that starts the ascents;
-    every other route is a loop of operator_norm.
+    """operator_norm of each map of a (k, n, N) stack with its own seed;
+    the routes of operator_norm live here, and every estimate equals the
+    one-map call bit for bit.
+
+    Zero maps take the zero route one by one; the others share one route
+    (_route) and are taken as a stack where the route allows:
+      - "svd": one full svd per chunk of maps whose factors hold at most
+        ASCENT_BLOCK entries;
+      - "linf-rows": one dual_upper_rows over the rows of every map;
+      - "vertex-ascent": the maps climb in lockstep in one _vertex_ascents
+        call, and the largest singular values of the stacked svd that
+        starts the ascents give meta["upper"];
+      - "search": the vertex starts out of a large cube come from one
+        _vertex_ascents call and meta["upper"] from one stacked svd. At
+        budget 0 (structured starts only: no random start, no polish)
+        one norm_rows call scores the starts of a chunk of maps, about
+        ASCENT_BLOCK entries, and each map re-reads its best starts with
+        the scalar objective (search.best_start); at a larger budget each
+        map runs its own multistart_maximize.
+    "l1-columns" and "enumeration" are a loop over the maps.
     """
     raw = np.asarray(matrices)
-    maps = [LinearMap(M, domain, codomain) for M in raw]
-    if len(seeds) != len(maps):
-        raise ValueError(f"{len(seeds)} seeds for {len(maps)} maps")
-    if not (maps and domain.is_linf and domain.dim > ENUM_CAP and not codomain.is_linf
-            and not codomain.is_quasi and np.any(raw, axis=(1, 2)).all()):
-        return [operator_norm(T, budget, seed) for T, seed in zip(maps, seeds)]
+    seeds = list(seeds)
+    if len(seeds) != len(raw):
+        raise ValueError(f"{len(seeds)} seeds for {len(raw)} maps")
+    if not seeds:
+        return []
+    if raw.shape[1:] != (codomain.dim, domain.dim):
+        raise ValueError(f"matrix shape {raw.shape[1:]} does not match "
+                         f"{codomain.dim}x{domain.dim}")
     A = np.asarray(raw, dtype=float)
-    s, vt = np.linalg.svd(A, full_matrices=False)[1:]
-    upper = codomain.le_euclid() * s[:, 0] * domain.ge_euclid()
-    ascents = _vertex_ascents(A, codomain, budget, seeds, vt)
-    return [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
-                     meta={"upper": float(u), "route": "vertex-ascent"})
-            for (v, w), seed, u in zip(ascents, seeds, upper)]
+    nonzero = np.any(A, axis=(1, 2))
+    out = [None if nz else Estimate(0.0, EXACT, witness=None, budget=0, seed=seed,
+                                    meta={"route": "zero"})
+           for nz, seed in zip(nonzero, seeds)]
+    live = np.flatnonzero(nonzero)
+    if not live.size:
+        return out
+    if live.size < len(A):
+        A, raw, seeds = A[live], raw[live], [seeds[i] for i in live]
+    route = _route(domain, codomain)
+    if route in ("vertex-ascent", "search"):
+        if route == "vertex-ascent":
+            s, vt = np.linalg.svd(A, full_matrices=False)[1:]
+            found, smax = _vertex_ascents(A, codomain, budget, seeds, vt), s[:, 0]
+        else:
+            # the bound takes the svd of the maps as given (single precision
+            # for float32), as the comparison bound of one map always has
+            smax = [float(s[0]) for s in np.linalg.svd(raw, compute_uv=False)]
+            found = _searches(A, domain, codomain, budget, seeds)
+        ests = [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
+                         meta={"upper": float(codomain.le_euclid() * s * domain.ge_euclid()),
+                               "route": route})
+                for (v, w), seed, s in zip(found, seeds, smax)]
+    else:
+        ests = [Estimate(float(v), EXACT, witness=w, budget=0, seed=seed, meta={"route": route})
+                for (v, w), seed in zip(_exact_norms(route, A, domain, codomain), seeds)]
+    for i, est in zip(live, ests):
+        out[i] = est
+    return out
+
+
+def _exact_norms(route, A, dom, cod):
+    """(value, witness) of every map of the stack A on an exact route."""
+    if route == "svd":  # full svds, in chunks whose factors hold <= ASCENT_BLOCK entries
+        step = max(1, ASCENT_BLOCK // max(A.shape[1:]) ** 2)
+        return [(s[0], v[0].copy()) for i in range(0, len(A), step)
+                for s, v in zip(*np.linalg.svd(A[i:i + step])[1:])]
+    if route == "linf-rows":  # the closed forms of dual_exact, row-wise
+        duals = dom.dual_upper_rows(A.reshape(-1, dom.dim)).reshape(A.shape[:2])
+        return [(d[i], {"row": int(i)}) for d, i in zip(duals, np.argmax(duals, axis=1))]
+    out = []
+    for a in A:
+        if route == "l1-columns":
+            vals = cod.norm_rows(a.T)
+            j = int(np.argmax(vals))
+            w = np.zeros(dom.dim)
+            w[j] = 1.0
+        else:  # enumeration
+            vals = sign_norms(dom.dim, a.T, cod)
+            j = int(np.argmax(vals))
+            w = sign_pattern(dom.dim, j)
+        out.append((vals[j], w))
+    return out
+
+
+def _searches(A, dom, cod, budget, seeds):
+    """(value, witness) of the sphere search of every map: starts e_1, ...,
+    e_N, the all-ones vector and, out of an l_inf cube, the map's best
+    vertex. At budget 0 the starts of a chunk of maps, at most about
+    ASCENT_BLOCK entries of starts and images, are scored at once."""
+    N = dom.dim
+    starts = np.concatenate([np.eye(N), np.ones((1, N))])
+    if dom.is_linf:
+        vertices = [w for _, w in _vertex_ascents(A, cod, budget, seeds)]
+        starts_of = lambda i: np.concatenate([starts, vertices[i][None]])
+    else:
+        starts_of = lambda i: starts
+    project = lambda x: _to_sphere(dom, x)
+    if budget > 0:
+        return [multistart_maximize(lambda x: cod.norm(a @ x), shape=(N,),
+                                    structured=list(starts_of(i)), budget=budget, seed=seed,
+                                    project=project,
+                                    rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ a.T)))
+                for i, (a, seed) in enumerate(zip(A, seeds))]
+    S = len(starts_of(0))
+    step = max(1, ASCENT_BLOCK // (S * max(N, cod.row_width)))  # maps per chunk
+    out = []
+    for i in range(0, len(A), step):
+        X = np.array([starts_of(j) for j in range(i, min(i + step, len(A)))])
+        nrm = dom.norm_rows(X.reshape(-1, N)).reshape(len(X), S, 1)
+        Y = np.matmul(X / nrm, A[i:i + step].transpose(0, 2, 1))
+        vals = cod.norm_rows(Y.reshape(-1, Y.shape[2])).reshape(len(X), S)
+        out += [best_start(x, v, lambda z: cod.norm(a @ z), project)
+                for a, x, v in zip(A[i:i + step], X, vals)]
+    return out
 
 
 def dual_norm(space, functional, budget=32, seed=0):

@@ -24,12 +24,14 @@ as a batch, but a product of one vector goes to gemv and a block
 product to gemm, which round apart in the last bits, far below the
 slack. So batch scores only pick rows: every accepted point is made by
 the scalar `project`, and the value returned is objective(witness),
-re-read from the witness.
+re-read from the witness. best_start is the start phase alone: the
+budget-0 operator norms of a stack of maps score all their starts in
+one block and settle each map with it.
 """
 
 import numpy as np
 
-__all__ = ["child_seeds", "split_budget", "multistart_maximize"]
+__all__ = ["child_seeds", "split_budget", "best_start", "multistart_maximize"]
 
 #: most polish sweeps a search makes (see split_budget)
 SWEEPS = 8
@@ -123,6 +125,36 @@ def _polish(x, value, objective, project, sweeps, rng, rows):
     return (objective(x) if value is None else value), x
 
 
+def best_start(starts, vals, objective, project):
+    """The first start maximizing objective(project(start)), read only for
+    the starts whose batch score in vals lies within 2 SCREEN_SLACK
+    (relative) of the best: no other start can be the first maximum of
+    the scalar objective.
+
+    Returns (objective(x), x) for the projected start x. Raises if
+    project rejects every start read, or the objective rejects them all.
+    """
+    keep = []
+    if len(vals):
+        top = np.max(vals)
+        keep = np.flatnonzero(~(vals < top - 2 * SCREEN_SLACK * abs(top)))
+    feasible = False
+    best_val, best_x = -np.inf, None
+    for i in keep:
+        cand = project(starts[i])
+        if cand is None:
+            continue
+        feasible = True
+        v = objective(cand)
+        if v > best_val:
+            best_val, best_x = v, cand
+    if not feasible:
+        raise ValueError("no feasible start for the search")
+    if best_x is None or not np.isfinite(best_val):
+        raise ValueError("all starts were rejected by the objective")
+    return best_val, best_x
+
+
 def multistart_maximize(objective, *, shape, rows, structured=(), budget=0, seed=0,
                         project=None, random_start=None):
     """Maximize objective over arrays of the given shape.
@@ -151,35 +183,15 @@ def multistart_maximize(objective, *, shape, rows, structured=(), budget=0, seed
         random_start = lambda rng: rng.standard_normal(shape)
 
     n_starts, sweeps = split_budget(budget)
-    seeds = child_seeds(seed, n_starts + 1)
-    rng_polish = np.random.default_rng(seeds[-1])
+    # budget 0 draws no random start and makes no polish: no seeds to spawn
+    seeds = child_seeds(seed, n_starts + 1) if sweeps else []
 
     starts = [np.array(s, dtype=float) for s in structured]
     starts += [random_start(np.random.default_rng(s)) for s in seeds[:-1]]
-    keep = []
-    if starts:
-        # only starts within the slack of the best batch score can be
-        # the first maximum of the scalar objective
-        vals = rows(np.array([s.ravel() for s in starts]))
-        top = np.max(vals)
-        keep = np.flatnonzero(~(vals < top - 2 * SCREEN_SLACK * abs(top)))
-
-    feasible = False
-    best_val, best_x = -np.inf, None
-    for i in keep:
-        cand = project(starts[i])
-        if cand is None:
-            continue
-        feasible = True
-        v = objective(cand)
-        if v > best_val:
-            best_val, best_x = v, cand
-    if not feasible:
-        raise ValueError("no feasible start for the search")
-    if best_x is None or not np.isfinite(best_val):
-        raise ValueError("all starts were rejected by the objective")
+    vals = rows(np.array([s.ravel() for s in starts])) if starts else np.empty(0)
+    best_val, best_x = best_start(starts, vals, objective, project)
 
     if sweeps > 0:
         best_val, best_x = _polish(best_x, best_val, objective, project, sweeps,
-                                   rng_polish, rows)
+                                   np.random.default_rng(seeds[-1]), rows)
     return best_val, best_x

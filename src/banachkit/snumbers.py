@@ -5,13 +5,17 @@ decomposition. On other spaces the approximation numbers are only
 bracketed: best rank-(n-1) truncations give upper bounds, and the
 Euclidean singular values scaled by space-comparison constants give
 lower bounds. No heuristic value is ever tagged exact.
+
+Weyl numbers are bracketed from below by a fixed set of contractions,
+scored as stacks of one width (see weyl_numbers). A stack holds at most
+linmaps.ASCENT_BLOCK entries, so memory does not grow with the budget.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linmaps import LinearMap, operator_norm
+from .linmaps import ASCENT_BLOCK, LinearMap, operator_norm, operator_norms
 from .spaces import NormedSpace, lp
 
 __all__ = [
@@ -100,33 +104,65 @@ def approximation_numbers(T):
     )
 
 
-def _contraction_upper(u_matrix, space):
-    """Certified upper bound on ||u : l_2^m -> space||."""
-    smax = float(np.linalg.svd(u_matrix, compute_uv=False)[0]) if np.any(u_matrix) else 0.0
-    if space.is_euclidean:
-        return smax
+def _contraction_upper(U, space):
+    """Certified upper bounds on ||u : l_2^m -> space|| for the frames u of
+    a (F, dim, m) stack; the svd is taken only where the bound reads it."""
     if space.is_linf:
-        return float(np.max(np.linalg.norm(u_matrix, axis=1))) if np.any(u_matrix) else 0.0
-    return space.le_euclid() * smax
+        return np.max(np.linalg.norm(U, axis=2), axis=1)
+    smax = np.linalg.svd(U, compute_uv=False)[:, 0]
+    return smax if space.is_euclidean else space.le_euclid() * smax
 
 
 def _approx_lower_from_l2(B, codomain):
-    """Entrywise lower bounds on a_n(B : l_2^m -> codomain)."""
+    """Entrywise lower bounds on a_n(B : l_2^m -> codomain), for one map
+    or along the last axis of a stack of maps."""
     s = np.linalg.svd(B, compute_uv=False)
     return s if codomain.is_euclidean else s / codomain.ge_euclid()
 
 
-def _coordinate_frames(dim, count, seed, random_width=False):
-    """Contractions u : l_2^m -> l_2^dim: the coordinate isometries
-    (m = dim, then m = 1, ..., dim - 1) and `count` seeded random
-    orthonormal frames, each cut to a random width m when random_width."""
+def _coordinate_frames(dim, n, count, seed, random_width=False):
+    """Contractions u : l_2^m -> l_2^dim as (places, U) stacks of one width
+    m, U of shape (len(places), dim, m); places number the frames in one
+    fixed order. Place 0 is the identity, place m the coordinate isometry
+    of width m = 1, ..., dim - 1, and places dim, dim + 1, ... are `count`
+    seeded random orthonormal frames.
+
+    A stack holds at most ASCENT_BLOCK entries of frames and of their
+    images in an n-dimensional codomain. The random frames of a stack
+    come from one gaussian draw and one stacked qr, the same numbers as a
+    draw and a qr per frame. The identity leads the first stack of random
+    frames, which share its width; each isometry is a stack of one.
+
+    Under random_width each random frame is cut to a width drawn right
+    after its gaussians, so the draws stay per frame and only the qr is
+    stacked; then every frame is a stack of one, yielded in place order.
+    """
+    size = max(1, ASCENT_BLOCK // (dim * max(dim, n)))  # frames per stack
     eye = np.eye(dim)
-    frames = [eye] + [eye[:, :m] for m in range(1, dim)]
+    isometries = [([m], eye[None, :, :m]) for m in range(1, dim)]
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, count)):
-        qmat, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        frames.append(qmat[:, :int(rng.integers(1, dim + 1))] if random_width else qmat)
-    return frames
+    count = max(0, count)
+    if random_width:
+        yield [0], eye[None]
+        yield from isometries
+        for i in range(0, count, size):
+            G = np.empty((min(size, count - i), dim, dim))
+            widths = []
+            for g in G:
+                g[...] = rng.standard_normal((dim, dim))
+                widths.append(int(rng.integers(1, dim + 1)))
+            for j, (q, m) in enumerate(zip(np.linalg.qr(G)[0], widths), dim + i):
+                yield [j], q[None, :, :m]
+        return
+    # positions 0, 1, ..., count: the identity, then the random frames
+    for i in range(0, count + 1, size):
+        stop = min(i + size, count + 1)
+        Q = np.linalg.qr(rng.standard_normal((stop - max(i, 1), dim, dim)))[0]
+        if i == 0:
+            yield [0, *range(dim, dim + stop - 1)], np.concatenate([eye[None], Q])
+            yield from isometries
+        else:
+            yield list(range(dim + i - 1, dim + stop - 1)), Q
 
 
 def weyl_numbers(T, budget=16, seed=0):
@@ -136,6 +172,13 @@ def weyl_numbers(T, budget=16, seed=0):
     the approximation numbers themselves). Otherwise entrywise certified
     lower bounds from a structured set of contractions: coordinate
     isometries, the scaled identity, and seeded random frames.
+
+    The contractions are scored as stacks of one width (see
+    _coordinate_frames), each with one call for the contraction bounds,
+    one product, one svd for the lower bounds and one operator_norms call
+    for the first entry. meta["witnesses"][n] is the first contraction,
+    in the frame order of _coordinate_frames, that reaches values[n]: a
+    copy, which holds no stack alive.
     """
     A = np.asarray(T.matrix, dtype=float)
     k = min(A.shape)
@@ -146,24 +189,27 @@ def weyl_numbers(T, budget=16, seed=0):
         return SNumberSequence("weyl", s[:k], ["exact"] * k,
                                meta={"witness": "identity (partial isometry)"})
 
-    best = np.zeros(k)
-    best_wit = [None] * k
-    for u in _coordinate_frames(T.domain.dim, budget, seed):
-        c = _contraction_upper(u, T.domain)
-        if c == 0.0:
-            continue
-        u_scaled = u / c
-        B = A @ u_scaled
-        vals = _approx_lower_from_l2(B, T.codomain)
+    dom, cod = T.domain, T.codomain
+    best, place, best_wit = [0.0] * k, [-1] * k, [None] * k
+    for places, U in _coordinate_frames(dom.dim, cod.dim, budget, seed):
+        U = U / _contraction_upper(U, dom)[:, None, None]
+        B = A @ U
+        vals = _approx_lower_from_l2(B, cod)
         # the first entry is an operator norm, where exact routes exist
-        euclid = NormedSpace(lp(2), u.shape[1])
-        op = operator_norm(LinearMap(B, euclid, T.codomain), budget=0, seed=seed)
-        first = max(vals[0], op.value)
-        for i, v in enumerate([first, *vals[1:]][:k]):
-            if v > best[i]:
-                best[i] = v
-                best_wit[i] = u_scaled
-    return SNumberSequence("weyl", best, ["lower"] * k, meta={"witnesses": best_wit})
+        ops = operator_norms(B, NormedSpace(lp(2), U.shape[2]), cod, budget=0,
+                             seeds=[seed] * len(U))
+        op = np.array([est.value for est in ops])
+        vals[:, 0] = np.where(op > vals[:, 0], op, vals[:, 0])
+        for f, u, row in zip(places, U, vals.tolist()):
+            wit = None
+            for i, v in enumerate(row[:k]):
+                # the stacks come out of place order: a tie goes to the lower place
+                if v > best[i] or (v == best[i] and f < place[i]):
+                    if wit is None:
+                        wit = u.copy()
+                    best[i], place[i], best_wit[i] = v, f, wit
+    return SNumberSequence("weyl", np.array(best), ["lower"] * k,
+                           meta={"witnesses": best_wit})
 
 
 def eigenvalue_sequence(T):

@@ -231,9 +231,10 @@ def weak_cotype_g(T, g, budget=16, seed=0):
     A = np.asarray(T.matrix, dtype=float)
     if not np.any(A):
         return Estimate(0.0, "exact", witness=None, budget=0, seed=seed)
-    best_val, best_u = _best_frame(
-        T, _coordinate_frames(T.domain.dim, budget // 4, seed, random_width=True),
-        lambda a: float(np.max(g(np.arange(1, len(a) + 1)) * a)))
+    frames = _coordinate_frames(T.domain.dim, T.codomain.dim, budget // 4, seed,
+                                random_width=True)
+    best_val, best_u = _best_frame(T, [u for _, U in frames for u in U],
+                                   lambda a: float(np.max(g(np.arange(1, len(a) + 1)) * a)))
     return Estimate(float(best_val), LOWER, witness=best_u, budget=budget, seed=seed,
                     meta={"quantity": "weak cotype", "g": g.label})
 

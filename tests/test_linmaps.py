@@ -555,15 +555,32 @@ def test_operator_norms_off_the_ascent_route_is_a_loop():
     rng = np.random.default_rng(15)
     stack = rng.standard_normal((4, 16, 32))
     stack[2] = 0.0
-    cases = [(stack, "lp:3:16", ["vertex-ascent", "vertex-ascent", "zero", "vertex-ascent"]),
-             (stack[[0, 1]], "lorentz:2:inf:16", ["search", "search"]),
-             (stack[[0, 3], :, :12], "lp:3:16", ["enumeration", "enumeration"])]
-    for matrices, cod, routes in cases:
-        dom, cod = parse_space(f"lp:inf:{matrices.shape[2]}"), parse_space(cod)
-        got = operator_norms(matrices, dom, cod, budget=8, seeds=[3, 4, 5, 6][:len(routes)])
+    euclid = rng.standard_normal((5, 6, 7))  # Euclidean domain l_2^7, as Weyl numbers score
+    euclid[1] = 0.0
+    cases = [(stack, "lp:inf", "lp:3:16", 8,
+              ["vertex-ascent", "vertex-ascent", "zero", "vertex-ascent"]),
+             (stack[[0, 1]], "lp:inf", "lorentz:2:inf:16", 8, ["search", "search"]),
+             (stack[[0, 1, 2]], "lp:inf", "lorentz:2:inf:16", 0, ["search", "search", "zero"]),
+             (stack[[0, 3], :, :12], "lp:inf", "lp:3:16", 8, ["enumeration", "enumeration"]),
+             (euclid, "lp:2", "lp:2:6", 8, ["svd", "zero", "svd", "svd", "svd"]),
+             (euclid, "lp:2", "lorentz:2:2:6", 0, ["svd", "zero", "svd", "svd", "svd"]),
+             (euclid, "lp:2", "lp:inf:6", 8, ["linf-rows", "zero", *["linf-rows"] * 3]),
+             (euclid, "lp:3", "lp:inf:6", 0, ["linf-rows", "zero", *["linf-rows"] * 3]),
+             (euclid[[1, 2]], "lp:1", "lp:3:6", 0, ["zero", "l1-columns"])]
+    cases += [(euclid, "lp:2", cod, budget, ["search", "zero", *["search"] * 3])
+              for cod in ("lp:3:6", "lp:1:6", "lorentz:2:inf:6", "gweak:pow:0.5:6",
+                          "lorentz:3:2:6") for budget in (0, 4)]
+    for matrices, dom, cod, budget, routes in cases:
+        dom, cod = parse_space(f"{dom}:{matrices.shape[2]}"), parse_space(cod)
+        seeds = [3, 4, 5, 6, 3][:len(routes)]
+        got = operator_norms(matrices, dom, cod, budget=budget, seeds=seeds)
         assert [est.meta["route"] for est in got] == routes
-        for A, seed, est in zip(matrices, [3, 4, 5, 6], got):
-            assert est.to_dict() == operator_norm(LinearMap(A, dom, cod), 8, seed).to_dict()
+        for A, seed, est in zip(matrices, seeds, got):
+            ref = operator_norm(LinearMap(A, dom, cod), budget, seed)
+            assert est.to_dict() == ref.to_dict()
+            if isinstance(ref.witness, np.ndarray):
+                assert same_estimate(est, ref)
+                assert est.witness.base is None  # holds no stack alive
     with pytest.raises(ValueError, match="3 seeds for 4 maps"):
         operator_norms(stack, parse_space("lp:inf:32"), parse_space("lp:3:16"), seeds=[1, 2, 3])
 
@@ -607,6 +624,21 @@ def test_stacked_vertex_ascent_memory_stays_bounded(k, N, cod, budget):
     assert max(blocks) <= linmaps.ASCENT_BLOCK
     # the bound of test_vertex_ascent_memory_stays_bounded
     assert peak < 64 * 2**20
+
+
+def test_budget_zero_search_stack_memory_stays_bounded():
+    # each map's starts are 601 x 600 (2.9 MB): scored for all 40 maps at
+    # once they would take 115 MB, so the maps are scored a chunk at a time
+    dom, cod = parse_space("lp:3:600"), parse_space("lp:4:1")
+    stack = np.random.default_rng(18).standard_normal((40, 1, 600))
+    tracemalloc.start()
+    try:
+        got = operator_norms(stack, dom, cod, budget=0, seeds=range(40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [est.meta["route"] for est in got] == ["search"] * 40
+    assert peak < 24 * 2**20
 
 
 def test_weak_l2_euclidean_exact_gram():

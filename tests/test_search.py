@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gauges, gweak,
-                       identity_map, linmaps, lorentz, lp, operator_norm, summing)
+                       identity_map, linmaps, lorentz, lp, operator_norm, operator_norms,
+                       search, summing)
 from banachkit.growth import GrowthSequence
 from banachkit.search import SCREEN_SLACK, child_seeds, multistart_maximize, split_budget
 
@@ -109,6 +110,58 @@ def test_operator_norm_search_matches_the_scalar_reference(dim, monkeypatch):
                 A = T.matrix
                 assert new.value == cod.norm(A @ new.witness)
     assert searched >= 12
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 32])
+def test_budget_zero_operator_norms_match_the_scalar_reference(dim):
+    # at budget 0 operator_norms scores the structured starts of a whole
+    # stack at once; each map must still get the scalar search's result
+    rng = np.random.default_rng(200 + dim)
+    searched = 0
+    for dom in families(dim):
+        for cod in (NormedSpace(lp(2.5), 7), NormedSpace(lorentz(3, 1), 7),
+                    NormedSpace(lorentz(2, math.inf), 7)):
+            stack = rng.standard_normal((3, 7, dim))
+            got = operator_norms(stack, dom, cod, budget=0, seeds=[1, 2, 3])
+            for A, seed, est in zip(stack, [1, 2, 3], got):
+                assert est.to_dict() == operator_norm(LinearMap(A, dom, cod), 0, seed).to_dict()
+                if est.meta["route"] != "search":
+                    continue
+                searched += 1
+                vertex = [linmaps._vertex_ascent(A, cod, 0, seed)[1]] if dom.is_linf else []
+                val, wit = reference_maximize(
+                    lambda x: cod.norm(A @ x), shape=(dim,),
+                    structured=[*np.eye(dim), np.ones(dim), *vertex], budget=0, seed=seed,
+                    project=lambda x: linmaps._to_sphere(dom, x))
+                assert est.value == val and est.witness.tobytes() == wit.tobytes()
+                smax = float(np.linalg.svd(A, compute_uv=False)[0])
+                assert est.meta["upper"] == cod.le_euclid() * smax * dom.ge_euclid()
+    assert searched >= 12
+
+
+def test_budget_zero_spawns_no_seeds_and_keeps_its_result(monkeypatch):
+    # budget 0 scores the structured starts alone: no random start and no
+    # polish, so no child seeds; the result is the scalar search's
+    target = np.array([0.3, -0.2, 0.7])
+    objective = lambda x: -float(np.sum((x - target) ** 2))
+    rows = lambda X: -np.sum((X - target) ** 2, axis=1)
+    starts = [np.zeros(3), np.ones(3), target * 0.9, target * 1.1, -target]
+    spawned = []
+
+    def recording(master, n):
+        spawned.append((master, n))
+        return child_seeds(master, n)
+
+    monkeypatch.setattr(search, "child_seeds", recording)
+    for seed in (0, 1, 12345):
+        ref_val, ref_x = reference_maximize(objective, shape=(3,), structured=starts,
+                                            budget=0, seed=seed)
+        val, x = multistart_maximize(objective, shape=(3,), structured=starts, budget=0,
+                                     seed=seed, rows=rows)
+        assert val == ref_val and x.tobytes() == ref_x.tobytes()
+    assert spawned == []
+    multistart_maximize(objective, shape=(3,), structured=starts, budget=1, seed=5, rows=rows)
+    assert spawned == [(5, 2)]
 
 
 @pytest.mark.parametrize("dim", [2, 5, 12, 32])

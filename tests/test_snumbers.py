@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from scipy.optimize import minimize
 from banachkit import (GrowthSequence, LinearMap, NormedSpace,
                        approximation_numbers, eigen_decay_vs_weyl,
                        eigenvalue_sequence, lorentz, lp, operator_norm,
-                       pi2_by_approx_bound, weyl_numbers)
+                       parse_space, pi2_by_approx_bound, weyl_numbers)
+from banachkit import snumbers
 from banachkit.suites import char_poly_roots
 
 
@@ -90,6 +93,144 @@ def test_weyl_zero_and_linf_witness():
     T = LinearMap(np.eye(2), sp, sp)
     w = weyl_numbers(T, seed=0)
     assert w.values[0] == pytest.approx(1.0, abs=1e-12)  # ||id: l_2 -> l_inf||
+
+
+def weyl_frame_loop(T, budget, seed, lower=None, first=None):
+    """weyl_numbers as it read before the contractions were scored as
+    stacks: one frame at a time, one operator_norm call per frame. Returns
+    (values, witnesses). lower(B) and first(B) replace the singular values
+    and the operator norm of B : l_2^m -> codomain when given."""
+    A = np.asarray(T.matrix, dtype=float)
+    k, dim, dom = min(A.shape), T.domain.dim, T.domain
+    eye = np.eye(dim)
+    frames = [eye] + [eye[:, :m] for m in range(1, dim)]
+    rng = np.random.default_rng(seed)
+    for _ in range(budget):
+        frames.append(np.linalg.qr(rng.standard_normal((dim, dim)))[0])
+    best, best_wit = np.zeros(k), [None] * k
+    for u in frames:
+        smax = float(np.linalg.svd(u, compute_uv=False)[0])
+        if dom.is_euclidean:
+            c = smax
+        elif dom.is_linf:
+            c = float(np.max(np.linalg.norm(u, axis=1)))
+        else:
+            c = dom.le_euclid() * smax
+        u_scaled = u / c
+        B = A @ u_scaled
+        if lower is None:
+            vals = np.linalg.svd(B, compute_uv=False)
+            if not T.codomain.is_euclidean:
+                vals = vals / T.codomain.ge_euclid()
+        else:
+            vals = lower(B)
+        if first is None:
+            op = operator_norm(LinearMap(B, euclid(u.shape[1]), T.codomain), budget=0,
+                               seed=seed).value
+        else:
+            op = first(B)
+        for i, v in enumerate([max(vals[0], op), *vals[1:]][:k]):
+            if v > best[i]:
+                best[i] = v
+                best_wit[i] = u_scaled
+    return best, best_wit
+
+
+WEYL_CODOMAINS = ["lp:2", "lp:inf", "lp:3", "lorentz:2:inf", "gweak:pow:0.5", "lorentz:3:2"]
+WEYL_DOMAINS = ["lp:1", "lp:inf", "lp:2", "lorentz:2:1"]
+
+
+@pytest.mark.parametrize("cod", WEYL_CODOMAINS)
+@pytest.mark.parametrize("dom", WEYL_DOMAINS)
+def test_weyl_numbers_equal_the_frame_loop(dom, cod):
+    rng = np.random.default_rng(len(dom) * 31 + len(cod))
+    for dim in range(1, 9):
+        n = int(rng.integers(1, dim + 3))
+        T = LinearMap(rng.standard_normal((n, dim)), parse_space(f"{dom}:{dim}"),
+                      parse_space(f"{cod}:{n}"))
+        if T.is_euclidean:
+            continue
+        if dim > 2:  # some isometries see only zero columns: zero maps in a stack
+            T.matrix[:, :2] = 0.0
+        for budget in (0, 1, 16):
+            seed = int(rng.integers(2**31))
+            got = weyl_numbers(T, budget=budget, seed=seed)
+            values, witnesses = weyl_frame_loop(T, budget, seed)
+            assert got.values.tobytes() == values.tobytes()
+            assert got.directions == ["lower"] * len(values)
+            for w, ref in zip(got.meta["witnesses"], witnesses):
+                if ref is None:
+                    assert w is None
+                    continue
+                assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
+                assert w.base is None  # a copy: it holds no stack of frames alive
+
+
+def assert_weyl_equals_the_frame_loop(T, budget, seed):
+    got = weyl_numbers(T, budget=budget, seed=seed)
+    values, witnesses = weyl_frame_loop(T, budget, seed)
+    assert got.values.tobytes() == values.tobytes()
+    for w, ref in zip(got.meta["witnesses"], witnesses):
+        assert (w is None) == (ref is None)
+        if ref is not None:
+            assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cod", ["lp:2", "lp:inf", "lp:3", "lorentz:2:inf"])
+def test_weyl_ties_and_several_stacks_equal_the_frame_loop(cod):
+    rng = np.random.default_rng(21)
+    # one nonzero column: the identity and every isometry can tie, and the
+    # first of them in frame order must keep the witness
+    for dom in ("lp:1", "lp:inf", "lorentz:2:1"):
+        for dim in (2, 5, 8):
+            A = np.zeros((3, dim))
+            A[:, 0] = rng.standard_normal(3)
+            T = LinearMap(A, parse_space(f"{dom}:{dim}"), parse_space(f"{cod}:3"))
+            for budget in (0, 16):
+                assert_weyl_equals_the_frame_loop(T, budget, seed=budget)
+    # 40 x 40 frames: 20 to a stack, so budget 64 takes four stacks
+    T = LinearMap(rng.standard_normal((40, 40)), parse_space("lp:1:40"),
+                  parse_space(f"{cod}:40"))
+    assert_weyl_equals_the_frame_loop(T, 64, seed=5)
+
+
+def test_weyl_tie_goes_to_the_first_frame_in_frame_order(monkeypatch):
+    # every contraction but the identity scores 1 on every entry, so the
+    # isometries tie with the random frames of the identity's stack, which
+    # are scored before them but come after them in frame order
+    rng = np.random.default_rng(22)
+    for dim in (2, 3, 5, 8):
+        A = rng.standard_normal((4, dim))
+        lower = lambda B: np.full(min(B.shape), 0.5 if np.array_equal(B, A) else 1.0)
+        T = LinearMap(A, parse_space(f"lp:inf:{dim}"), parse_space("lp:3:4"))
+        with monkeypatch.context() as m:
+            m.setattr(snumbers, "_approx_lower_from_l2",
+                      lambda B, cod: np.array([lower(b) for b in B]))
+            m.setattr(snumbers, "operator_norms",
+                      lambda B, dom, cod, **kw: [SimpleNamespace(value=0.0)] * len(B))
+            got = weyl_numbers(T, budget=4, seed=dim)
+        values, witnesses = weyl_frame_loop(T, 4, dim, lower, lambda B: 0.0)
+        assert got.values.tobytes() == values.tobytes()
+        for i, (w, ref) in enumerate(zip(got.meta["witnesses"], witnesses)):
+            assert w.shape == ref.shape == (dim, i + 1)  # isometry i + 1
+            assert w.tobytes() == ref.tobytes()
+
+
+def test_weyl_memory_does_not_grow_with_budget():
+    # every frame of l_2^200 is 320 kB; scored in stacks, the frames of one
+    # stack are alive at a time, whatever the budget
+    T = LinearMap(np.random.default_rng(9).standard_normal((8, 200)),
+                  parse_space("lp:1:200"), parse_space("lp:3:8"))
+    peaks = []
+    for budget in (8, 32):
+        tracemalloc.start()
+        try:
+            weyl_numbers(T, budget=budget, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+    assert peaks[1] < 8 * 2**20
 
 
 def test_eigenvalue_hand_cases():

@@ -10,7 +10,7 @@ from banachkit import (C_delta, GrowthSequence, H_constant, LinearMap,
                        pi_pq_n, equal_norm_inequality, weak_cotype_g)
 from banachkit.linmaps import weak_lq_upper
 from banachkit.spaces import gweak, parse_space
-from banachkit.summing import PremiseError, ledger_from_report
+from banachkit.summing import PremiseError, _best_frame, ledger_from_report
 from banachkit.growth import validate_growth
 
 SQRT = GrowthSequence.power(0.5)
@@ -115,6 +115,38 @@ def test_weak_cotype_examples():
     T = LinearMap(np.diag([1.0, 0.0]), space(2, 2), space(2, 2))
     est = weak_cotype_g(T, SQRT, budget=8, seed=1)
     assert est.value == pytest.approx(1.0, abs=1e-10)
+
+
+def weak_cotype_frame_loop(T, g, budget, seed):
+    """weak_cotype_g as it read before the random frames were
+    orthonormalized as a stack: a draw, a width and a qr per frame."""
+    dim = T.domain.dim
+    eye = np.eye(dim)
+    frames = [eye] + [eye[:, :m] for m in range(1, dim)]
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, budget // 4)):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        frames.append(q[:, :int(rng.integers(1, dim + 1))])
+    return _best_frame(T, frames, lambda a: float(np.max(g(np.arange(1, len(a) + 1)) * a)))
+
+
+@pytest.mark.parametrize("dom, cod", [("lp:1", "lp:3"), ("lp:inf", "lorentz:2:inf"),
+                                      ("lorentz:3:2", "lp:2"), ("lp:2", "gweak:pow:0.5")])
+def test_weak_cotype_and_c_delta_equal_the_frame_loop(dom, cod):
+    rng = np.random.default_rng(len(dom) + 7 * len(cod))
+    for dim in range(1, 9):
+        n = int(rng.integers(1, dim + 3))
+        T = LinearMap(rng.standard_normal((n, dim)), parse_space(f"{dom}:{dim}"),
+                      parse_space(f"{cod}:{n}"))
+        for budget in (0, 4, 16, 64):
+            seed = int(rng.integers(2**31))
+            value, witness = weak_cotype_frame_loop(T, SQRT, budget, seed)
+            est = weak_cotype_g(T, SQRT, budget=budget, seed=seed)
+            assert est.value == value
+            assert est.witness.shape == witness.shape
+            assert est.witness.tobytes() == witness.tobytes()
+            cd = C_delta(T, SQRT, 0.5, max(2, dim), budget=budget, seed=seed)
+            assert cd.meta["bracket"]["wc_estimate"] == value
 
 
 def test_c_delta_identity_and_bracket():
