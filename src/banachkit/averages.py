@@ -25,7 +25,7 @@ from .estimates import AverageResult
 # sign_patterns is unused here but stays bound: the benchmark's tracer patches it here too
 from .linmaps import (ENUM_CAP, _chunk_norms, _sign_sum, sign_norms, sign_pattern,
                       sign_patterns)  # noqa: F401
-from .search import child_seeds, multistart_maximize
+from .search import batch_forms, child_seeds, multistart_maximize
 
 __all__ = [
     "rademacher_average",
@@ -150,14 +150,13 @@ def contraction_check(config, space, budget=16, seed=0):
     eps = sign_pattern(n, i)
 
     box_val, _ = multistart_maximize(
-        lambda a: space.norm(a @ config),
+        **batch_forms(lambda P: (np.clip(P, -1.0, 1.0), np.ones(len(P), dtype=bool)),
+                      lambda X: space.norm_rows(X @ config)),
         shape=(n,),
         structured=[eps, np.zeros(n), 0.5 * eps],
         budget=budget,
         seed=seed,
-        project=lambda a: np.clip(a, -1.0, 1.0),
         random_start=lambda rng: rng.uniform(-1.0, 1.0, n),
-        rows=lambda X: space.norm_rows(np.clip(X, -1.0, 1.0) @ config),
     )
     return max(float(box_val), sup_signs), sup_signs
 

@@ -21,7 +21,7 @@ import numpy as np
 from .estimates import GaugeValue, Record
 from .growth import iterated_log, tower_index
 from .linmaps import ENUM_CAP, sign_norms
-from .search import child_seeds, multistart_maximize
+from .search import batch_forms, child_seeds, multistart_maximize
 from .sequences import rearrange
 
 __all__ = [
@@ -48,23 +48,17 @@ def _gauge_objective(tau, space, kind):
     else:
         raise ValueError("kind must be 'summing' or 'cotype'")
 
-    def value(config):
-        """Gauge value of one (m, dim) configuration, or the values of a
-        (k, m, dim) stack of them without zero rows."""
-        if config.ndim == 3:
-            r_min = np.min(space.norm_rows(config.reshape(-1, config.shape[-1])).reshape(-1, m),
-                           axis=1)
-            return reduce(sign_norms(m, config, space, scale=tau), axis=1) / r_min
+    def value(C):
+        """Gauge values of a (k, m, dim) stack of configurations without
+        zero rows."""
         # rows are only approximately unit after projection; dividing by
         # the smallest row norm keeps the value a certified upper bound
         # (weights tau_k / r_k <= tau_k / r_min, then the contraction
         # principle), and makes exactly-normalized witnesses exact; the
         # row norms come from the same oracle as the numerator, so a
         # single unit vector scores exactly 1
-        r_min = float(np.min(space.norm_rows(config)))
-        if r_min == 0.0:
-            return math.inf
-        return float(reduce(sign_norms(m, config, space, scale=tau))) / r_min
+        r_min = np.min(space.norm_rows(C.reshape(-1, C.shape[-1])).reshape(-1, m), axis=1)
+        return reduce(sign_norms(m, C, space, scale=tau), axis=1) / r_min
 
     return value
 
@@ -89,10 +83,13 @@ def _hadamard_rows(m, dim):
 
 def reevaluate_gauge(witness, tau, space, kind):
     """Value of a stored unit-vector configuration; reproduces the gauge
-    estimate it came from."""
+    estimate it came from. A configuration with a zero row has value inf."""
     tau = np.asarray(tau, dtype=float)
     tau = tau[tau != 0.0]
-    return _gauge_objective(np.abs(tau), space, kind)(np.asarray(witness, dtype=float))
+    config = np.asarray(witness, dtype=float)
+    if not np.all(space.norm_rows(config)):
+        return math.inf
+    return float(_gauge_objective(np.abs(tau), space, kind)(config[None])[0])
 
 
 def opt_gauge(tau, space, kind, budget=16, seed=0):
@@ -113,20 +110,13 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
     dim = space.dim
     eye = np.eye(dim)
 
-    def project(c):
-        norms = space.norm_rows(c)
-        if np.any(norms == 0.0):
-            return None
-        return c / norms[:, None]
-
-    def rows(P):
-        # project, with the row norms of norm_rows, then value
+    def unit_rows(P):
+        """Configurations of P with every row scaled to norm 1; those with a
+        zero row rejected."""
         C = P.reshape(-1, m, dim)
         norms = space.norm_rows(P.reshape(-1, dim)).reshape(-1, m)
-        out = np.full(C.shape[0], -np.inf)
         ok = np.all(norms != 0.0, axis=1)
-        out[ok] = -value(C[ok] / norms[ok, :, None])
-        return out
+        return (C[ok] / norms[ok, :, None]).reshape(-1, m * dim), ok
 
     structured = [
         np.tile(eye[0], (m, 1)),
@@ -137,13 +127,11 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
     if had is not None:
         structured.append(had)
     val, wit = multistart_maximize(
-        lambda c: -value(c),
+        **batch_forms(unit_rows, lambda X: -value(X.reshape(-1, m, dim))),
         shape=(m, dim),
         structured=structured,
         budget=budget,
         seed=seed,
-        project=project,
-        rows=rows,
     )
     return GaugeValue(float(-val), witness=wit, budget=budget,
                       seed=seed, meta={"kind": kind, "support": m})

@@ -30,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from .estimates import Estimate, EXACT, LOWER
-from .search import best_start, child_seeds, multistart_maximize, split_budget
+from .search import batch_forms, best_start, child_seeds, multistart_maximize, split_budget
 from .spaces import lp
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
@@ -439,23 +439,15 @@ def identity_map(space):
     return LinearMap(np.eye(space.dim), space, space)
 
 
-def _to_sphere(space, x):
-    """x scaled onto the unit sphere of space; None for the zero vector."""
-    nrm = space.norm(x)
-    return None if nrm == 0.0 else x / nrm
-
-
-def _on_sphere(space, f):
-    """Batch evaluator for the search: f of the rows of X scaled onto the
-    unit sphere of space, -inf where a row has norm zero (the rows that
-    _to_sphere rejects)."""
-    def rows(X):
-        nrm = space.norm_rows(X)
-        out = np.full(X.shape[0], -np.inf)
+def _on_sphere(space):
+    """The feasible of the sphere searches (see search.batch_forms): the
+    rows of P scaled onto the unit sphere of space, rows of norm zero
+    rejected."""
+    def feasible(P):
+        nrm = space.norm_rows(P)
         ok = nrm != 0.0
-        out[ok] = f(X[ok] / nrm[ok, None])
-        return out
-    return rows
+        return P[ok] / nrm[ok, None], ok
+    return feasible
 
 
 def _vertex_ascents(A, cod, budget, seeds, vt=None):
@@ -522,11 +514,6 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     return out
 
 
-def _vertex_ascent(A, cod, budget, seed):
-    """_vertex_ascents of the one map A; returns (value, witness)."""
-    return _vertex_ascents(np.asarray(A, dtype=float)[None], cod, budget, [seed])[0]
-
-
 def _route(dom, cod):
     """The route of operator_norm for a nonzero map dom -> cod."""
     if dom.is_euclidean and cod.is_euclidean:
@@ -581,25 +568,25 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
       - "vertex-ascent": the maps climb in lockstep in one _vertex_ascents
         call, and the largest singular values of the stacked svd that
         starts the ascents give meta["upper"];
-      - "search": the vertex starts out of a large cube come from one
-        _vertex_ascents call and meta["upper"] from one stacked svd. At
+      - "search": meta["upper"] comes from one stacked svd; out of a large
+        cube the vertex starts come from one _vertex_ascents call, which
+        starts from the right singular vectors of the same svd. At
         budget 0 (structured starts only: no random start, no polish)
         one norm_rows call scores the starts of a chunk of maps, about
         ASCENT_BLOCK entries, and each map re-reads its best starts with
-        the scalar objective (search.best_start); at a larger budget each
+        its one-row objective (search.best_start); at a larger budget each
         map runs its own multistart_maximize.
     "l1-columns" and "enumeration" are a loop over the maps.
     """
-    raw = np.asarray(matrices)
+    A = np.asarray(matrices, dtype=float)
     seeds = list(seeds)
-    if len(seeds) != len(raw):
-        raise ValueError(f"{len(seeds)} seeds for {len(raw)} maps")
+    if len(seeds) != len(A):
+        raise ValueError(f"{len(seeds)} seeds for {len(A)} maps")
     if not seeds:
         return []
-    if raw.shape[1:] != (codomain.dim, domain.dim):
-        raise ValueError(f"matrix shape {raw.shape[1:]} does not match "
+    if A.shape[1:] != (codomain.dim, domain.dim):
+        raise ValueError(f"matrix shape {A.shape[1:]} does not match "
                          f"{codomain.dim}x{domain.dim}")
-    A = np.asarray(raw, dtype=float)
     nonzero = np.any(A, axis=(1, 2))
     out = [None if nz else Estimate(0.0, EXACT, witness=None, budget=0, seed=seed,
                                     meta={"route": "zero"})
@@ -608,21 +595,19 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
     if not live.size:
         return out
     if live.size < len(A):
-        A, raw, seeds = A[live], raw[live], [seeds[i] for i in live]
+        A, seeds = A[live], [seeds[i] for i in live]
     route = _route(domain, codomain)
     if route in ("vertex-ascent", "search"):
-        if route == "vertex-ascent":
+        if domain.is_linf:  # the cube ascents start from the top right singular vectors
             s, vt = np.linalg.svd(A, full_matrices=False)[1:]
-            found, smax = _vertex_ascents(A, codomain, budget, seeds, vt), s[:, 0]
         else:
-            # the bound takes the svd of the maps as given (single precision
-            # for float32), as the comparison bound of one map always has
-            smax = [float(s[0]) for s in np.linalg.svd(raw, compute_uv=False)]
-            found = _searches(A, domain, codomain, budget, seeds)
+            s, vt = np.linalg.svd(A, compute_uv=False), None
+        found = (_vertex_ascents(A, codomain, budget, seeds, vt) if route == "vertex-ascent"
+                 else _searches(A, domain, codomain, budget, seeds, vt))
         ests = [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
-                         meta={"upper": float(codomain.le_euclid() * s * domain.ge_euclid()),
+                         meta={"upper": float(codomain.le_euclid() * smax * domain.ge_euclid()),
                                "route": route})
-                for (v, w), seed, s in zip(found, seeds, smax)]
+                for (v, w), seed, smax in zip(found, seeds, s[:, 0])]
     else:
         ests = [Estimate(float(v), EXACT, witness=w, budget=0, seed=seed, meta={"route": route})
                 for (v, w), seed in zip(_exact_norms(route, A, domain, codomain), seeds)]
@@ -655,35 +640,36 @@ def _exact_norms(route, A, dom, cod):
     return out
 
 
-def _searches(A, dom, cod, budget, seeds):
+def _searches(A, dom, cod, budget, seeds, vt=None):
     """(value, witness) of the sphere search of every map: starts e_1, ...,
     e_N, the all-ones vector and, out of an l_inf cube, the map's best
-    vertex. At budget 0 the starts of a chunk of maps, at most about
-    ASCENT_BLOCK entries of starts and images, are scored at once."""
+    vertex (vt as in _vertex_ascents). At budget 0 the starts of a chunk
+    of maps, at most about ASCENT_BLOCK entries of starts and images, are
+    scored at once."""
     N = dom.dim
     starts = np.concatenate([np.eye(N), np.ones((1, N))])
     if dom.is_linf:
-        vertices = [w for _, w in _vertex_ascents(A, cod, budget, seeds)]
+        vertices = [w for _, w in _vertex_ascents(A, cod, budget, seeds, vt)]
         starts_of = lambda i: np.concatenate([starts, vertices[i][None]])
     else:
         starts_of = lambda i: starts
-    project = lambda x: _to_sphere(dom, x)
+    sphere = _on_sphere(dom)
+    forms = lambda a: batch_forms(sphere, lambda U: cod.norm_rows(U @ a.T))
     if budget > 0:
-        return [multistart_maximize(lambda x: cod.norm(a @ x), shape=(N,),
-                                    structured=list(starts_of(i)), budget=budget, seed=seed,
-                                    project=project,
-                                    rows=_on_sphere(dom, lambda U: cod.norm_rows(U @ a.T)))
+        return [multistart_maximize(**forms(a), shape=(N,), structured=list(starts_of(i)),
+                                    budget=budget, seed=seed)
                 for i, (a, seed) in enumerate(zip(A, seeds))]
     S = len(starts_of(0))
     step = max(1, ASCENT_BLOCK // (S * max(N, cod.row_width)))  # maps per chunk
     out = []
     for i in range(0, len(A), step):
         X = np.array([starts_of(j) for j in range(i, min(i + step, len(A)))])
-        nrm = dom.norm_rows(X.reshape(-1, N)).reshape(len(X), S, 1)
-        Y = np.matmul(X / nrm, A[i:i + step].transpose(0, 2, 1))
+        U = sphere(X.reshape(-1, N))[0].reshape(X.shape)  # no start has norm zero
+        Y = np.matmul(U, A[i:i + step].transpose(0, 2, 1))
         vals = cod.norm_rows(Y.reshape(-1, Y.shape[2])).reshape(len(X), S)
-        out += [best_start(x, v, lambda z: cod.norm(a @ z), project)
-                for a, x, v in zip(A[i:i + step], X, vals)]
+        for a, x, v in zip(A[i:i + step], X, vals):
+            f = forms(a)
+            out.append(best_start(x, v, f["objective"], f["project"]))
     return out
 
 
@@ -711,13 +697,11 @@ def dual_norm(space, functional, budget=32, seed=0):
     aligned[order] = np.sign(y[order]) / np.arange(1, space.dim + 1)
     structured = [aligned, np.sign(y) + (y == 0), *np.eye(space.dim)]
     val, wit = multistart_maximize(
-        lambda x: abs(float(x @ y)),
+        **batch_forms(_on_sphere(space), lambda U: np.abs(U @ y)),
         shape=(space.dim,),
         structured=structured,
         budget=budget,
         seed=seed,
-        project=lambda x: _to_sphere(space, x),
-        rows=_on_sphere(space, lambda U: np.abs(U @ y)),
     )
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"upper": space.dual_upper(y)})
@@ -785,27 +769,21 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
     upper = weak_lq_upper(config, space, q)
     moment = lp(q)
 
-    def project(z):
-        du = space.dual_upper(z)
-        return None if du == 0.0 else z / du
-
-    def rows(Z):
+    def dual_ball(Z):
+        """Rows of Z scaled into the dual unit ball by their dual upper
+        bounds; rows with bound zero rejected."""
         du = space.dual_upper_rows(Z)
-        out = np.full(Z.shape[0], -np.inf)
         ok = du != 0.0
-        out[ok] = moment.norm_rows((Z[ok] / du[ok, None]) @ config.T)
-        return out
+        return Z[ok] / du[ok, None], ok
 
     structured = list(np.eye(dim))
     structured.append(config.sum(axis=0))
     val, wit = multistart_maximize(
-        lambda z: moment.norm(config @ z),
+        **batch_forms(dual_ball, lambda Z: moment.norm_rows(Z @ config.T)),
         shape=(dim,),
         structured=structured,
         budget=budget,
         seed=seed,
-        project=project,
-        rows=rows,
     )
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"upper": upper})

@@ -12,26 +12,34 @@ single sign flips instead. Only a quasi-normed codomain, where an
 interior point can beat every vertex, still takes the search from there,
 with the best vertex as one more start.
 
-Every caller passes a batch evaluator `rows` that scores many proposals
-at once. The starts are scored as one block, and so are the proposals
-still ahead in each polish sweep: the first proposal whose batch score
-beats the current score by more than SCREEN_SLACK (relative) is taken,
-and the block is rebuilt from the new point at the next entry. A
-proposal within the slack of the current score is never taken, and
-costs no scalar call, though a search scoring one proposal at a time
-could take it. A scalar norm is a one-row call of the same row kernel
-as a batch, but a product of one vector goes to gemv and a block
-product to gemm, which round apart in the last bits, far below the
+Every estimator writes its search once, as two batch functions:
+feasible(P), which projects a (k, size) block of raw proposals into the
+feasible set and returns the accepted rows with a mask of which rows
+were accepted, and score(X), the objective of each feasible row.
+batch_forms builds from them the three callables the search takes: the
+batch evaluator rows, score of feasible with -inf on rejected rows, and
+objective and project, one-row calls of score and feasible. So
+objective(project(p)) is rows of the one-row block p, bit for bit, and
+no estimator keeps a second copy of its objective in step by hand.
+
+The starts are scored as one block, and so are the proposals still
+ahead in each polish sweep: the first proposal whose batch score beats
+the current score by more than SCREEN_SLACK (relative) is taken, and
+the block is rebuilt from the new point at the next entry. A proposal
+within the slack of the current score is never taken, and costs no
+single-point call, though a search scoring one proposal at a time could
+take it. A row of a block product may round apart from the same row
+alone (numpy sends one row to gemv and a block to gemm), far below the
 slack. So batch scores only pick rows: every accepted point is made by
-the scalar `project`, and the value returned is objective(witness),
-re-read from the witness. best_start is the start phase alone: the
-budget-0 operator norms of a stack of maps score all their starts in
-one block and settle each map with it.
+project, and the value returned is objective(witness), re-read from the
+witness. best_start is the start phase alone: the budget-0 operator
+norms of a stack of maps score all their starts in one block and settle
+each map with it.
 """
 
 import numpy as np
 
-__all__ = ["child_seeds", "split_budget", "best_start", "multistart_maximize"]
+__all__ = ["child_seeds", "split_budget", "batch_forms", "best_start", "multistart_maximize"]
 
 #: most polish sweeps a search makes (see split_budget)
 SWEEPS = 8
@@ -66,10 +74,38 @@ def split_budget(budget):
     return max(1, budget // sweeps), sweeps
 
 
+def batch_forms(feasible, score):
+    """The objective, project and rows that multistart_maximize and
+    best_start take, as a dict of those names, from two batch functions:
+
+    feasible(P): (X, ok) for a (k, size) block P of raw proposals, with
+        ok the mask of the rows accepted and X those rows projected into
+        the feasible set, in order;
+    score(X): the objective of each row of a block of feasible rows.
+
+    rows(P) is score(X) on the accepted rows and -inf on the others;
+    objective(x) and project(x) are one-row calls of score and feasible,
+    project returning a new array of x's shape, or None if x is rejected.
+    """
+    def objective(x):
+        return score(x.reshape(1, -1))[0]
+
+    def project(x):
+        X, ok = feasible(x.reshape(1, -1))
+        return X[0].reshape(x.shape).copy() if ok[0] else None  # a witness owns its data
+
+    def rows(P):
+        X, ok = feasible(P)
+        out = np.full(P.shape[0], -np.inf)
+        out[ok] = score(X)
+        return out
+
+    return {"objective": objective, "project": project, "rows": rows}
+
+
 def _first_gain(P, x, score, project, vals):
     """First row of the proposal block P whose batch score beats the
-    current score by more than the slack, projected by the scalar
-    project.
+    current score by more than the slack, projected by project.
 
     vals holds the batch scores of the rows of P; a row is taken if
     vals[i] > floor + SCREEN_SLACK * |floor|, with floor = score + 1e-15,
@@ -129,7 +165,8 @@ def best_start(starts, vals, objective, project):
     """The first start maximizing objective(project(start)), read only for
     the starts whose batch score in vals lies within 2 SCREEN_SLACK
     (relative) of the best: no other start can be the first maximum of
-    the scalar objective.
+    objective, whose one-point reading may round apart from the block's.
+    objective and project are those of batch_forms.
 
     Returns (objective(x), x) for the projected start x. Raises if
     project rejects every start read, or the objective rejects them all.
@@ -159,20 +196,22 @@ def multistart_maximize(objective, *, shape, rows, structured=(), budget=0, seed
                         project=None, random_start=None):
     """Maximize objective over arrays of the given shape.
 
+    objective, project and rows are the forms of one objective, which
+    an estimator builds with batch_forms from its batch functions:
     objective: array -> float (larger is better); may return -inf to
         reject a candidate.
-    structured: iterable of starting arrays always evaluated first.
     project: map an arbitrary array back into the feasible set (return
         None to reject); defaults to identity.
-    random_start: rng -> array; defaults to standard normal entries.
     rows: batch evaluator. It takes a (k, size) stack of raw,
         unprojected proposals, each flattened from `shape`, and returns
         objective(project(p)) for every row p, with -inf where project
-        would reject p. It may differ from the scalar value in the last
-        bits: it screens the starts and decides each polish block, the
-        points it picks are projected by project, and objective scores
-        the kept starts and the final point; both only ever see single
-        arrays of `shape`.
+        would reject p. A row of a block may differ from the same point
+        read alone in the last bits: rows screens the starts and decides
+        each polish block, the points it picks are projected by project,
+        and objective scores the kept starts and the final point; both
+        only ever see single arrays of `shape`.
+    structured: iterable of starting arrays always evaluated first.
+    random_start: rng -> array; defaults to standard normal entries.
 
     Returns (best value, best array), the value being objective(best
     array). Raises if no candidate is feasible.

@@ -7,7 +7,7 @@ on top of a family; a SubspaceSpace composes a basis matrix with an
 ambient norm.
 
 The l_{p,inf} and weak families are quasi-norms and are flagged as such
-with an explicit quasi-triangle constant.
+(is_quasi).
 
 The exact routes of linmaps and snumbers dispatch on the capability
 properties of a space (is_euclidean, is_l1, is_linf, has_exact_dual),
@@ -132,17 +132,6 @@ class SeqSpace:
         """True for the weak families, whose triangle inequality only
         holds up to a constant."""
         return self.family == "gweak" or (self.family == "lorentz" and self.q == math.inf)
-
-    def quasi_constant(self, n):
-        """Quasi-triangle constant valid on vectors of length <= n."""
-        if not self.is_quasi:
-            return 1.0
-        if self.family == "lorentz":
-            return 2.0 ** (1.0 / self.p)
-        # (x+y)*_{2m} <= x*_m + y*_m, then the doubling constant of g
-        ks = np.arange(1, n + 1)
-        s2 = float(np.max(self.g(2 * ks) / self.g(ks))) if self.g.max_n is None or self.g.max_n >= 2 * n else 2.0
-        return s2
 
     def fundamental(self, n):
         """Norm of the n-term constant-one sequence."""
@@ -297,9 +286,6 @@ class NormedSpace:
     @property
     def has_exact_dual(self):
         return self.space.has_exact_dual
-
-    def quasi_constant(self):
-        return self.space.quasi_constant(self.dim)
 
     # comparison constants against the Euclidean norm on the same
     # coordinates; used to convert spectral data into certified bounds

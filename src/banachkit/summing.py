@@ -17,7 +17,7 @@ from .averages import _draw_gaussians, _draw_signs, gaussian_average, rademacher
 from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
 from .linmaps import ENUM_CAP, identity_map, sign_norms, weak_lq_upper
-from .search import child_seeds, multistart_maximize
+from .search import batch_forms, child_seeds, multistart_maximize
 from .snumbers import _approx_lower_from_l2, _coordinate_frames
 from .spaces import gweak, lp
 
@@ -54,45 +54,35 @@ def _structured_configs(space, n):
     return [coords, repeated, ones]
 
 
-def _config_search(objective, batch, space, n, budget, seed):
-    """Maximize objective over n-vector configurations scaled to largest
-    entry 1; batch(C) is objective of each configuration of a (k, n, dim)
-    stack C of such configurations, up to rounding. Their denominators
-    are never 0, so batch needs no guard for it."""
-    def project(c):
-        m = np.max(np.abs(c))
-        return None if m == 0.0 else c / m
-
-    def rows(P):
-        C = P.reshape(-1, n, space.dim)
-        m = np.max(np.abs(C), axis=(1, 2))
-        out = np.full(C.shape[0], -np.inf)
+def _config_search(score, space, n, budget, seed):
+    """Maximize over n-vector configurations scaled to largest entry 1;
+    score(C) is the objective of each configuration of a (k, n, dim)
+    stack C of such configurations. Their denominators are never 0, so
+    score needs no guard for it."""
+    def feasible(P):
+        m = np.max(np.abs(P), axis=1)
         ok = m != 0.0
-        out[ok] = batch(C[ok] / m[ok, None, None])
-        return out
+        return P[ok] / m[ok, None], ok
 
-    return multistart_maximize(objective, shape=(n, space.dim),
-                               structured=_structured_configs(space, n),
-                               budget=budget, seed=seed, project=project, rows=rows)
+    return multistart_maximize(
+        **batch_forms(feasible, lambda X: score(X.reshape(-1, n, space.dim))),
+        shape=(n, space.dim), structured=_structured_configs(space, n),
+        budget=budget, seed=seed)
 
 
-def _summing_search(T, q, n, numerator, numerator_rows, budget, seed):
-    """Maximize numerator(image norms) over the weak l_q moment of
-    n-vector configurations; returns (value, configuration scaled to
-    weak l_q moment 1). numerator_rows is numerator on each row of a
+def _summing_search(T, q, n, numerator_rows, budget, seed):
+    """Maximize the numerator of the image norms over the weak l_q moment
+    of n-vector configurations; returns (value, configuration scaled to
+    weak l_q moment 1). numerator_rows is the numerator on each row of a
     2-d array of image norms."""
     dom, cod = T.domain, T.codomain
     A = np.asarray(T.matrix, dtype=float)
 
-    def objective(config):
-        den = weak_lq_upper(config, dom, q)
-        return numerator(cod.norm_rows(config @ A.T)) / den if den > 0 else -np.inf
-
-    def batch(C):
+    def score(C):
         norms = cod.norm_rows(C.reshape(-1, dom.dim) @ A.T).reshape(-1, n)
         return numerator_rows(norms) / weak_lq_upper(C, dom, q)
 
-    val, wit = _config_search(objective, batch, dom, n, budget, seed)
+    val, wit = _config_search(score, dom, n, budget, seed)
     return val, wit / weak_lq_upper(wit, dom, q)
 
 
@@ -107,7 +97,7 @@ def pi_pq_n(T, p, q, n, budget=32, seed=0):
     if not (p >= q >= 1.0):
         raise ValueError("summing norms need p >= q >= 1")
     strong = lp(p)
-    val, wit = _summing_search(T, q, n, strong.norm, strong.norm_rows, budget, seed)
+    val, wit = _summing_search(T, q, n, strong.norm_rows, budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"p": p, "q": q, "n": n})
 
@@ -118,7 +108,7 @@ def pi_Y1(T, Y, n, budget=32, seed=0):
     The best c with ||sum ||Tx_k|| e_k||_Y <= c sup_{x*} sum |<x*, x_k>|,
     witnessed by a configuration.
     """
-    val, wit = _summing_search(T, 1.0, n, Y.norm, Y.norm_rows, budget, seed)
+    val, wit = _summing_search(T, 1.0, n, Y.norm_rows, budget, seed)
     return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,
                     meta={"Y": Y.describe(), "n": n})
 
@@ -164,19 +154,13 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
 
     strong = lp(q)
 
-    # every candidate, alone or in a stack, meets the same sign patterns,
-    # or the same sample (common random numbers), through sign_norms
-    def objective(config):
-        den = float(np.mean(sign_norms(draws, config, X)))
-        if den <= 0:
-            return -np.inf
-        return strong.norm(X.norm_rows(config)) / den
-
-    def batch(C):
+    # every candidate meets the same sign patterns, or the same sample
+    # (common random numbers), through sign_norms
+    def score(C):
         num = strong.norm_rows(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n))
         return num / np.mean(sign_norms(draws, C, X), axis=1)
 
-    val, wit = _config_search(objective, batch, X, n, budget, seed)
+    val, wit = _config_search(score, X, n, budget, seed)
 
     if use_enum:
         return Estimate(float(val), LOWER, witness=wit, budget=budget, seed=seed,

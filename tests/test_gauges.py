@@ -62,7 +62,7 @@ def test_streamed_gauge_table_equals_the_whole_one(kind):
         config /= sp.norm_rows(config)[:, None]
         value = _gauge_objective(tau, sp, kind)
         r_min = float(np.min(sp.norm_rows(config)))
-        assert value(config) == float(reduce(sign_norms(table, config, sp))) / r_min
+        assert value(config[None])[0] == float(reduce(sign_norms(table, config, sp))) / r_min
         stack = np.stack([config, config[::-1]])
         assert np.array_equal(value(stack), reduce(sign_norms(table, stack, sp), axis=1)
                               / np.min(sp.norm_rows(stack.reshape(-1, dim)).reshape(2, m),
@@ -86,9 +86,12 @@ def test_gauge_witness_reevaluates_and_is_unit():
     tau = np.array([0.8, 0.0, 0.5, 0.3])
     gv = opt_gauge(tau, sp, "cotype", budget=16, seed=3)
     again = reevaluate_gauge(gv.witness, tau, sp, "cotype")
-    assert again == pytest.approx(gv.value, abs=1e-10)
+    assert again == gv.value
     for row in np.asarray(gv.witness):
         assert sp.norm(row) == pytest.approx(1.0, abs=1e-10)
+    zero_row = np.array(gv.witness)
+    zero_row[1] = 0.0
+    assert reevaluate_gauge(zero_row, tau, sp, "cotype") == math.inf
 
 
 def test_gauge_monotone_in_weights():

@@ -390,9 +390,28 @@ def test_quasi_codomain_past_the_cap_searches_from_the_best_vertex(cod):
     A = np.random.default_rng(12).standard_normal((16, 32))
     est = operator_norm(LinearMap(A, parse_space("lp:inf:32"), cod), budget=16, seed=3)
     assert (est.meta["route"], est.direction) == ("search", "lower")
-    vertex, _ = linmaps._vertex_ascent(A, cod, 16, 3)
+    vertex, _ = linmaps._vertex_ascents(A[None], cod, 16, [3])[0]
     assert est.value >= vertex
     assert est.value <= est.meta["upper"]
+
+
+@pytest.mark.parametrize("cod", ["lorentz:2:inf:16", "lp:3:16"])
+def test_cube_past_the_cap_takes_one_svd(cod, monkeypatch):
+    # the vertex starts and meta["upper"] read the same float64 svd, on the
+    # search route into a quasi-normed codomain as on the vertex ascent
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    A = np.random.default_rng(19).standard_normal((16, 32))
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    dom = parse_space("lp:inf:32")
+    est = operator_norm(LinearMap(A, dom, parse_space(cod)), budget=8)
+    assert len(calls) == 1
+    smax = svd(A, full_matrices=False)[1][0]
+    assert est.meta["upper"] == parse_space(cod).le_euclid() * smax * dom.ge_euclid()
 
 
 @pytest.mark.parametrize("cod", ["lp:2:16", "lp:3:16", "lp:1:16", "lorentz:3:2:16"])
@@ -424,7 +443,7 @@ def test_vertex_ascent_against_enumeration(N):
     ratios = []
     for seed in range(40):
         A = np.random.default_rng(100 + seed).standard_normal((8, N))
-        value, _ = linmaps._vertex_ascent(A, cod, 16, seed)
+        value, _ = linmaps._vertex_ascents(A[None], cod, 16, [seed])[0]
         ratios.append(value / np.max(sign_norms(sign_patterns(N), A.T, cod)))
     ratios = np.array(ratios)
     # gemv and the blocked gemm of the enumeration may round apart by ulps
@@ -474,7 +493,7 @@ def test_vertex_ascent_memory_stays_bounded():
 
 
 def one_map_vertex_ascent(A, cod, budget, seed):
-    """linmaps._vertex_ascent as it read before the maps of a stack climbed
+    """The one-map vertex ascent as it read before the maps of a stack climbed
     in lockstep: one map, its active starts in one product per step."""
     n, N = A.shape
     top = np.linalg.svd(A, full_matrices=False)[2][0]
@@ -587,8 +606,7 @@ def test_operator_norms_off_the_ascent_route_is_a_loop():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
 def test_operator_norms_of_other_dtypes_equal_the_loop(dtype):
-    # operator_norm takes meta["upper"] from the svd of the map as given
-    # (single precision for float32) and the ascent from its float64 copy
+    # the ascent and meta["upper"] read one svd of the map's float64 copy
     dom, cod = parse_space("lp:inf:24"), parse_space("lp:3:6")
     stack = (np.random.default_rng(17).standard_normal((5, 6, 24)) * 4).astype(dtype)
     got = operator_norms(stack, dom, cod, budget=8, seeds=range(5))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gauges, gweak,
-                       identity_map, linmaps, lorentz, lp, operator_norm, operator_norms,
+from banachkit import (LinearMap, NormedSpace, SubspaceSpace, averages, dual_norm, gauges,
+                       gweak, identity_map, linmaps, lorentz, lp, operator_norm, operator_norms,
                        search, summing)
 from banachkit.growth import GrowthSequence
 from banachkit.search import SCREEN_SLACK, child_seeds, multistart_maximize, split_budget
@@ -128,13 +128,16 @@ def test_budget_zero_operator_norms_match_the_scalar_reference(dim):
                 if est.meta["route"] != "search":
                     continue
                 searched += 1
-                vertex = [linmaps._vertex_ascent(A, cod, 0, seed)[1]] if dom.is_linf else []
+                vertex = ([linmaps._vertex_ascents(A[None], cod, 0, [seed])[0][1]]
+                          if dom.is_linf else [])
                 val, wit = reference_maximize(
                     lambda x: cod.norm(A @ x), shape=(dim,),
                     structured=[*np.eye(dim), np.ones(dim), *vertex], budget=0, seed=seed,
-                    project=lambda x: linmaps._to_sphere(dom, x))
+                    project=lambda x: x / dom.norm(x))
                 assert est.value == val and est.witness.tobytes() == wit.tobytes()
-                smax = float(np.linalg.svd(A, compute_uv=False)[0])
+                # out of a cube the bound reads the svd that starts the vertex ascent
+                smax = float(np.linalg.svd(A, full_matrices=False)[1][0] if dom.is_linf
+                             else np.linalg.svd(A, compute_uv=False)[0])
                 assert est.meta["upper"] == cod.le_euclid() * smax * dom.ge_euclid()
     assert searched >= 12
 
@@ -364,3 +367,77 @@ def test_weak_lq_search_matches_the_scalar_reference(q, n, monkeypatch):
                             q, budget=16, seed=i)
         assert new.direction == "lower"
         assert_same_estimate(new, ref)
+
+
+def handed_forms(monkeypatch, module, fn, *args, **kwargs):
+    """Every keyword set, objective included, that fn(*args, **kwargs)
+    hands to module's multistart_maximize."""
+    seen = []
+
+    def recording(objective, **kw):
+        seen.append(dict(kw, objective=objective))
+        return multistart_maximize(objective, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "multistart_maximize", recording)
+        fn(*args, **kwargs)
+    return seen
+
+
+def assert_one_form(forms, rng):
+    """objective(project(p)) is rows of the one-row block p, bit for bit,
+    and project rejects p exactly where that row is -inf."""
+    shape = forms["shape"]
+    P = rng.standard_normal((24, math.prod(shape))) * rng.uniform(0.1, 3.0, (24, 1))
+    P[0] = 0.0
+    P[1, 1:] = 0.0
+    for p in P:
+        row = forms["rows"](p[None])[0]
+        x = forms["project"](p.reshape(shape))
+        if x is None:
+            assert row == -np.inf
+            continue
+        assert x.shape == shape
+        assert np.float64(forms["objective"](x)).tobytes() == np.float64(row).tobytes()
+
+
+def opnorm_site(space, rng):
+    T = LinearMap(rng.standard_normal((7, space.dim)), space, NormedSpace(lorentz(2, math.inf), 7))
+    operator_norm(T, budget=4, seed=1)
+
+
+SEARCH_SITES = {
+    "operator_norm": (linmaps, opnorm_site),
+    "dual_norm": (linmaps, lambda sp, rng: dual_norm(sp, rng.standard_normal(sp.dim), budget=4)),
+    "weak_lq_functional": (linmaps, lambda sp, rng: linmaps.weak_lq_functional(
+        rng.standard_normal((4, sp.dim)), sp, 1.5, budget=4)),
+    "contraction_check": (averages, lambda sp, rng: averages.contraction_check(
+        rng.standard_normal((4, sp.dim)), sp, budget=4)),
+    "pi_pq_n": (summing, lambda sp, rng: summing.pi_pq_n(identity_map(sp), 2.0, 1.5, 3,
+                                                         budget=4)),
+    "pi_Y1": (summing, lambda sp, rng: summing.pi_Y1(
+        identity_map(sp), NormedSpace(gweak(GrowthSequence.power(0.5)), 3), 3, budget=4)),
+    "cotype-rademacher": (summing, lambda sp, rng: summing.cotype_q_constant(sp, 3.0, 3,
+                                                                             budget=4)),
+    "cotype-gaussian": (summing, lambda sp, rng: summing.cotype_q_constant(
+        sp, 2.0, 3, budget=4, variable="gaussian", samples=300, final_samples=500)),
+    "gauge-summing": (gauges, lambda sp, rng: gauges.opt_gauge(rng.uniform(0.2, 1.0, 3), sp,
+                                                               "summing", budget=4)),
+    "gauge-cotype": (gauges, lambda sp, rng: gauges.opt_gauge(rng.uniform(0.2, 1.0, 4), sp,
+                                                              "cotype", budget=4)),
+}
+
+
+@pytest.mark.parametrize("site", SEARCH_SITES)
+def test_every_search_hands_one_form_of_its_objective(site, monkeypatch):
+    # the single-point forms a search hands on are one-row calls of its
+    # batch forms: one objective, one projection
+    module, call = SEARCH_SITES[site]
+    rng = np.random.default_rng(600)
+    spaces = families(5) + ([NormedSpace(lp(math.inf), 24)] if site == "operator_norm" else [])
+    searches = 0
+    for space in spaces:
+        for forms in handed_forms(monkeypatch, module, call, space, rng):
+            searches += 1
+            assert_one_form(forms, rng)
+    assert searches >= 3
