@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimates import GaugeValue, Record
 from .growth import iterated_log, tower_index
-from .linmaps import ENUM_CAP, sign_norms
+from .linmaps import ENUM_CAP, sign_norms, sign_weights
 from .search import batch_forms, child_seeds, multistart_maximize
 from .sequences import rearrange
 
@@ -41,12 +41,10 @@ __all__ = [
 def _gauge_objective(tau, space, kind):
     tau = np.asarray(tau, dtype=float)
     m = tau.size
-    if kind == "summing":
-        reduce = np.max
-    elif kind == "cotype":
-        reduce = np.mean
-    else:
+    if kind not in ("summing", "cotype"):
         raise ValueError("kind must be 'summing' or 'cotype'")
+    # the weighted sign table, built once where it fits a block of sign_norms
+    signs, scale = sign_weights(m, space.dim, space, tau)
 
     def value(C):
         """Gauge values of a (k, m, dim) stack of configurations without
@@ -57,8 +55,9 @@ def _gauge_objective(tau, space, kind):
         # principle), and makes exactly-normalized witnesses exact; the
         # row norms come from the same oracle as the numerator, so a
         # single unit vector scores exactly 1
-        r_min = np.min(space.norm_rows(C.reshape(-1, C.shape[-1])).reshape(-1, m), axis=1)
-        return reduce(sign_norms(m, C, space, scale=tau), axis=1) / r_min
+        r_min = space.norm_rows(C.reshape(-1, C.shape[-1])).reshape(-1, m).min(axis=1)
+        norms = sign_norms(signs, C, space, scale=scale)
+        return (norms.max(axis=1) if kind == "summing" else norms.mean(axis=1)) / r_min
 
     return value
 
@@ -115,7 +114,7 @@ def opt_gauge(tau, space, kind, budget=16, seed=0):
         zero row rejected."""
         C = P.reshape(-1, m, dim)
         norms = space.norm_rows(P.reshape(-1, dim)).reshape(-1, m)
-        ok = np.all(norms != 0.0, axis=1)
+        ok = (norms != 0.0).all(axis=1)
         return (C[ok] / norms[ok, :, None]).reshape(-1, m * dim), ok
 
     structured = [
@@ -172,10 +171,11 @@ def convexify(tau, space, kind, budget=16, seed=0):
     for name, flat in (("dyadic", False), ("dyadic-flat", True)):
         total = 0.0
         parts = []
+        block_seeds = child_seeds(seeds[1 if flat else 2], m)
         for j, (a, b) in enumerate(_dyadic_blocks(m)):
             piece = np.full(b - a, tau[a]) if flat else tau[a:b]
             gv = opt_gauge(piece, space, kind, budget=max(1, budget // 2),
-                           seed=child_seeds(seeds[1 if flat else 2], m)[j])
+                           seed=block_seeds[j])
             total += gv.value
             parts.append(gv)
         candidates[name] = (total, parts)

@@ -30,11 +30,12 @@ from collections import deque
 import numpy as np
 
 from .estimates import Estimate, EXACT, LOWER
-from .search import batch_forms, best_start, child_seeds, multistart_maximize, split_budget
+from .search import (_scaled_rows, batch_forms, best_start, child_seeds, multistart_maximize,
+                     split_budget)
 from .spaces import lp
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
-           "weak_lq_functional", "ENUM_CAP", "sign_norms", "sign_pattern"]
+           "weak_lq_functional", "ENUM_CAP", "sign_norms", "sign_pattern", "sign_weights"]
 
 #: sign patterns are enumerated exactly up to this many vectors
 ENUM_CAP = 20
@@ -228,6 +229,25 @@ def _weight_fill(signs, m, rows, scale):
     return _spans(m, rows), _keep, fill
 
 
+def _block_rows(width):
+    """Rows per block of sign_norms when its widest row holds `width`
+    entries: the largest power of two that keeps a block in SIGN_BLOCK."""
+    return 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
+
+
+def sign_weights(n, dim, space, scale=None):
+    """(signs, scale) for sign_norms calls on (n, dim) configurations, or
+    stacks of them, that share the table sign_patterns(n) * scale (scale
+    None: the signs): the table itself, built once, with scale None where
+    it fits in one block of those calls; else n and scale, and each call
+    streams the table (see _pattern_fill). Either way a call gives the
+    same norms bit for bit."""
+    if n < 1 or 2 ** (n - 1) > _block_rows(max(n, dim, space.row_width)):
+        return n, scale
+    table = sign_patterns(n)
+    return (table.astype(float) if scale is None else table * scale), None
+
+
 class _Blocks:
     """The blocks of sign_norms on an (n, dim) configuration (see
     sign_norms): the widest row formed, the rows per block (the largest
@@ -239,7 +259,7 @@ class _Blocks:
     def __init__(self, config, space):
         n, dim = config.shape[-2:]
         self.width = max(n, dim, space.row_width)
-        self.rows = 1 << (max(1, SIGN_BLOCK // self.width).bit_length() - 1)
+        self.rows = _block_rows(self.width)
         self.config = config
         self.kernel = space._row_kernel()
 
@@ -335,7 +355,8 @@ def sign_norms(signs, config, space, count=None, *, scale=None):
       - an int n: the table sign_patterns(n), or sign_patterns(n) * scale
         given a length-n scale, written block by block and never built
         whole (see _pattern_fill); sign_pattern(n, i) rebuilds row i,
-        such as the row of a maximum;
+        such as the row of a maximum. Calls that share one such table
+        take it from sign_weights, built once where it fits one block;
       - a 2-d array: W itself, such as a weighted sign table;
       - a callable draw(block) with a row count `count`: draw fills the
         (k, n) float array block with the next k rows of W, block after
@@ -443,11 +464,7 @@ def _on_sphere(space):
     """The feasible of the sphere searches (see search.batch_forms): the
     rows of P scaled onto the unit sphere of space, rows of norm zero
     rejected."""
-    def feasible(P):
-        nrm = space.norm_rows(P)
-        ok = nrm != 0.0
-        return P[ok] / nrm[ok, None], ok
-    return feasible
+    return lambda P: _scaled_rows(P, space.norm_rows(P))
 
 
 def _vertex_ascents(A, cod, budget, seeds, vt=None):
@@ -464,8 +481,11 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     E_i @ A_i.T are recomputed from the active starts, one stacked product
     per count of active starts, so each has the rows of the one-map ascent
     (numpy sends one row to gemv, which rounds unlike gemm) and each map
-    climbs bit for bit as alone. The scalar norm re-reads the final
-    vertices; the first maximum wins.
+    climbs bit for bit as alone. The final vertices of every map are
+    re-read from their gemv images a @ e, as the scalar norm of a @ e reads
+    them: through norm_rows in the same blocks, or one by one into a
+    subspace, whose rows of a block may round apart from a lone row. The
+    first maximum wins.
     """
     k, n, N = A.shape
     top = (np.linalg.svd(A, full_matrices=False)[2] if vt is None else vt)[:, 0]
@@ -476,10 +496,15 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
             E[i, j] = np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
     rows = max(1, ASCENT_BLOCK // max(n, cod.row_width))  # rows per block
     pairs, step = max(1, rows // N), min(N, rows)  # starts x flips per block
+
+    def norms(Y):
+        """cod.norm_rows of a (k, starts, n) stack of images, in blocks."""
+        flat = Y.reshape(-1, n)
+        return np.concatenate([cod.norm_rows(flat[i:i + rows])
+                               for i in range(0, len(flat), rows)]).reshape(k, -1)
+
     Y = np.matmul(E, A.transpose(0, 2, 1))
-    flat = Y.reshape(-1, n)
-    score = np.concatenate([cod.norm_rows(flat[i:i + rows])
-                            for i in range(0, len(flat), rows)]).reshape(k, -1)
+    score = norms(Y)
     # row j of map i: what flipping entry j moves y by; C order keeps gathers contiguous
     flips = np.multiply(2.0, A.transpose(0, 2, 1), order="C")
     active = np.ones(score.shape, dtype=bool)
@@ -506,12 +531,13 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
             mi, si = np.nonzero(active & (count == r)[:, None])
             Y[mi, si] = np.matmul(E[mi, si].reshape(-1, r, N),
                                   A[mi[::r]].transpose(0, 2, 1)).reshape(-1, n)
-    out = []
-    for a, final in zip(A, E):
-        values = [cod.norm(a @ e) for e in final]
-        i = int(np.argmax(values))
-        out.append((values[i], final[i].copy()))  # a witness does not hold the stack
-    return out
+    # one gemv image per final vertex, as the scalar norm of a @ e forms it
+    images = np.array([[a @ e for e in final] for a, final in zip(A, E)])
+    values = (norms(images) if cod._rows_alone
+              else np.array([[cod.norm(y) for y in ys] for ys in images]))
+    best = values.argmax(axis=1)
+    # a witness does not hold the stack
+    return [(float(v[i]), final[i].copy()) for v, final, i in zip(values, E, best)]
 
 
 def _route(dom, cod):
@@ -604,9 +630,9 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
             s, vt = np.linalg.svd(A, compute_uv=False), None
         found = (_vertex_ascents(A, codomain, budget, seeds, vt) if route == "vertex-ascent"
                  else _searches(A, domain, codomain, budget, seeds, vt))
+        le, ge = codomain.le_euclid(), domain.ge_euclid()
         ests = [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
-                         meta={"upper": float(codomain.le_euclid() * smax * domain.ge_euclid()),
-                               "route": route})
+                         meta={"upper": float(le * smax * ge), "route": route})
                 for (v, w), seed, smax in zip(found, seeds, s[:, 0])]
     else:
         ests = [Estimate(float(v), EXACT, witness=w, budget=0, seed=seed, meta={"route": route})
@@ -719,18 +745,18 @@ def weak_lq_upper(config, space, q):
     n, dim = config.shape[-2:]
     norms = space.norm_rows(config.reshape(-1, dim)).reshape(config.shape[:-1])
     if q == math.inf:
-        bound = np.max(norms, axis=-1)
+        bound = norms.max(axis=-1)
     else:
-        bounds = [np.sum(norms**q, axis=-1) ** (1.0 / q)]
+        bounds = [np.add.reduce(norms**q, axis=-1) ** (1.0 / q)]
         if space.is_euclidean:
             smax = np.linalg.svd(config, compute_uv=False)[..., 0] \
-                if stacked or np.any(config) else 0.0
+                if stacked or config.any() else 0.0
             bounds.append(smax if q >= 2.0 else n ** (1.0 / q - 0.5) * smax)
         if n <= ENUM_CAP:
             # weak-1 moment equals the sign sup of the configuration, and
             # dominates every weak-q moment for q >= 1
-            bounds.append(np.max(sign_norms(n, config, space), axis=-1))
-        bound = np.min(bounds, axis=0)
+            bounds.append(sign_norms(n, config, space).max(axis=-1))
+        bound = np.minimum.reduce(bounds, axis=0)
     return bound if stacked else float(bound)
 
 
@@ -769,13 +795,9 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
     upper = weak_lq_upper(config, space, q)
     moment = lp(q)
 
-    def dual_ball(Z):
-        """Rows of Z scaled into the dual unit ball by their dual upper
-        bounds; rows with bound zero rejected."""
-        du = space.dual_upper_rows(Z)
-        ok = du != 0.0
-        return Z[ok] / du[ok, None], ok
-
+    # rows scaled into the dual unit ball by their dual upper bounds; rows
+    # with bound zero rejected
+    dual_ball = lambda Z: _scaled_rows(Z, space.dual_upper_rows(Z))
     structured = list(np.eye(dim))
     structured.append(config.sum(axis=0))
     val, wit = multistart_maximize(

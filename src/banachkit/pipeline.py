@@ -279,14 +279,14 @@ def run_pipeline(config, space, g, ledger, budget=32, samples=20_000, seed=0):
         floor = level_floor(plan, consts, level)
         new_groups = []
         reports = []
-        lvl_seed = seeds[plan.p + level - 1]
+        lvl_seeds = child_seeds(seeds[plan.p + level - 1], len(groups))
         for gi in range(0, len(groups), plan.k):
             chunk = groups[gi : gi + plan.k]
             if len(chunk) < plan.k:
                 break
             rep = regroup_step(config, space, chunk, g, H=ledger.h, s3=ledger.s3,
                                K=ledger.k, samples=samples,
-                               seed=child_seeds(lvl_seed, len(groups))[gi // plan.k])
+                               seed=lvl_seeds[gi // plan.k])
             reports.append(rep)
             union = [i for idx, _ in chunk for i in idx]
             new_groups.append((union, rep.measured.value))

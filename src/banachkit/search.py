@@ -96,11 +96,23 @@ def batch_forms(feasible, score):
 
     def rows(P):
         X, ok = feasible(P)
-        out = np.full(P.shape[0], -np.inf)
+        if len(X) == len(P):  # every row accepted: no mask to apply
+            return score(X)
+        out = np.full(len(P), -np.inf)
         out[ok] = score(X)
         return out
 
     return {"objective": objective, "project": project, "rows": rows}
+
+
+def _scaled_rows(P, s):
+    """The feasible (see batch_forms) that divides each row of the block P
+    by its entry of s, rows where s is 0 rejected; with no such row, P is
+    divided whole, which gives the same rows without a mask."""
+    ok = s != 0.0
+    if ok.all():
+        return P / s[:, None], ok
+    return P[ok] / s[ok, None], ok
 
 
 def _first_gain(P, x, score, project, vals):
@@ -116,7 +128,7 @@ def _first_gain(P, x, score, project, vals):
     gains.
     """
     floor = score + 1e-15
-    for i in np.flatnonzero(vals > floor + SCREEN_SLACK * abs(floor)):
+    for i in (vals > floor + SCREEN_SLACK * abs(floor)).nonzero()[0]:
         cand = project(P[i].reshape(x.shape))
         if cand is not None:
             return i, cand, vals[i]
@@ -141,8 +153,9 @@ def _polish(x, value, objective, project, sweeps, rng, rows):
     for _ in range(sweeps):
         order = rng.permutation(x.size)[: MAX_PROPOSALS // 2]
         # proposal j moves entry entries[j] by deltas[j]
-        entries = np.repeat(order, 2)
-        deltas = np.tile([step, -step], order.size)
+        entries = order.repeat(2)
+        deltas = np.full(entries.size, step)
+        deltas[1::2] = -step
         improved = False
         j = 0
         while j < entries.size:
@@ -173,8 +186,8 @@ def best_start(starts, vals, objective, project):
     """
     keep = []
     if len(vals):
-        top = np.max(vals)
-        keep = np.flatnonzero(~(vals < top - 2 * SCREEN_SLACK * abs(top)))
+        top = vals.max()
+        keep = (~(vals < top - 2 * SCREEN_SLACK * abs(top))).nonzero()[0]
     feasible = False
     best_val, best_x = -np.inf, None
     for i in keep:

@@ -16,6 +16,7 @@ never on family strings; a SubspaceSpace has none of them.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -96,24 +97,26 @@ class SeqSpace:
     def _norm_rows(self, m, owned, weights=None):
         """norm_rows, in m itself if m is owned (see sequences._abs); weights
         are _weights(m.shape[1]), computed here when not given."""
+        # the ufunc reductions are those np.sum and np.max call, without
+        # their Python wrappers: the same loops, so the same bits
         if self.family == "lp":
             a = _abs(m, owned)
             if self.p == math.inf:
-                return np.max(a, axis=1)
+                return np.maximum.reduce(a, axis=1)
             if self.p != 1.0:
                 # **= dispatches on the scalar exponent as ** does (square
                 # for 2), so the powers match m**p on any numpy
                 a **= self.p
-            return np.sum(a, axis=1) ** (1.0 / self.p)
+            return np.add.reduce(a, axis=1) ** (1.0 / self.p)
         a = _descending_rows(m, owned)
         if weights is None:
             weights = self._weights(a.shape[1])
         if self.family == "lorentz" and self.q != math.inf:
             a **= self.q
             a *= weights
-            return np.sum(a, axis=1) ** (1.0 / self.q)
+            return np.add.reduce(a, axis=1) ** (1.0 / self.q)
         a *= weights
-        return np.max(a, axis=1)
+        return np.maximum.reduce(a, axis=1)
 
     def _weights(self, width):
         """What norm_rows multiplies descending rows of `width` entries by:
@@ -179,14 +182,34 @@ class SeqSpace:
         k^(-1/p) or 1/g(k). For lorentz with finite q, Hardy-Littlewood
         plus Hoelder give <x,y> <= ||x||_{p,q} ||y||_{p',q'}."""
         m = np.asarray(m, dtype=float)
-        if self.family == "lp":
-            return SeqSpace("lp", p=_conjugate(self.p)).norm_rows(m)
-        if self.family == "lorentz" and self.q != math.inf:
-            return SeqSpace("lorentz", p=_conjugate(self.p), q=_conjugate(self.q)).norm_rows(m)
+        return self._dual_upper_rows(m, self._dual_weights(m.shape[1]))
+
+    def _dual_upper_rows(self, m, weights):
+        """dual_upper_rows of a float64 m, which is not written, with
+        weights _dual_weights(m.shape[1])."""
+        if self._dual is not None:
+            return self._dual._norm_rows(m, False, weights)
         a = _descending_rows(m)
-        ks = np.arange(1, m.shape[1] + 1)
-        a *= ks ** (-1.0 / self.p) if self.family == "lorentz" else 1.0 / self.g(ks)
-        return np.sum(a, axis=1)
+        a *= weights
+        return np.add.reduce(a, axis=1)
+
+    @cached_property
+    def _dual(self):
+        """The space whose norm dual_upper_rows takes: l_{p'} for l_p and
+        l_{p',q'} for lorentz:p:q with finite q; None for the weak families."""
+        if self.family == "lp":
+            return SeqSpace("lp", p=_conjugate(self.p))
+        if self.family == "lorentz" and self.q != math.inf:
+            return SeqSpace("lorentz", p=_conjugate(self.p), q=_conjugate(self.q))
+        return None
+
+    def _dual_weights(self, width):
+        """What dual_upper_rows multiplies descending rows of `width` entries
+        by: the _weights of _dual, else k^(-1/p) or 1/g(k) at k = 1..width."""
+        if self._dual is not None:
+            return self._dual._weights(width)
+        ks = np.arange(1, width + 1)
+        return ks ** (-1.0 / self.p) if self.family == "lorentz" else 1.0 / self.g(ks)
 
 
 def lp(p):
@@ -229,6 +252,9 @@ def cotype_index(space, n_max):
 class NormedSpace:
     """A sequence-space family pinned to a fixed dimension."""
 
+    #: each row of a norm_rows block equals its one-row call bit for bit
+    _rows_alone = True
+
     def __init__(self, space, dim):
         self.space = space
         self.dim = int(dim)
@@ -236,6 +262,9 @@ class NormedSpace:
             raise ValueError("dimension must be >= 1")
         if space.family == "gweak" and space.g.max_n is not None and space.g.max_n < self.dim:
             raise ValueError("growth table shorter than the space dimension")
+        # the weights of the row kernels at this width, computed once
+        self._norm_weights = space._weights(self.dim)
+        self._dual_weights = space._dual_weights(self.dim)
 
     def _check(self, x):
         x = np.asarray(x)
@@ -247,14 +276,14 @@ class NormedSpace:
         return self.space.norm(self._check(x))
 
     def norm_rows(self, m):
-        return self.space.norm_rows(self._check(m))
+        """The family's norm_rows, with the weights of this dimension."""
+        return self.space._norm_rows(self._check(m), False, self._norm_weights)
 
     def _row_kernel(self):
         """norm_rows as a function of an owned float64 (k, dim) array, which
-        it works in. The weights are computed now, so the function calls no
-        method of a space or a growth sequence: any thread may run it."""
-        weights = self.space._weights(self.dim)
-        return lambda m: self.space._norm_rows(m, True, weights)
+        it works in. It calls no method of a space or a growth sequence
+        that is not private: any thread may run it."""
+        return partial(self.space._norm_rows, owned=True, weights=self._norm_weights)
 
     @property
     def row_width(self):
@@ -309,7 +338,9 @@ class NormedSpace:
         return self.space.dual_upper(self._check(y))
 
     def dual_upper_rows(self, m):
-        return self.space.dual_upper_rows(self._check(m))
+        """The family's dual_upper_rows, with the weights of this dimension."""
+        return self.space._dual_upper_rows(np.asarray(self._check(m), dtype=float),
+                                           self._dual_weights)
 
     def describe(self):
         return f"{self.space.describe()}:{self.dim}"
@@ -329,6 +360,10 @@ class SubspaceSpace:
     oracle and the Euclidean comparison constants are available.
     """
 
+    #: a block is multiplied by the basis in one gemm, which may round a
+    #: row apart from its one-row call (a gemv)
+    _rows_alone = False
+
     def __init__(self, basis, ambient):
         self.basis = np.asarray(basis, dtype=float)
         if self.basis.ndim != 2 or self.basis.shape[0] != ambient.dim:
@@ -339,20 +374,23 @@ class SubspaceSpace:
         if sv[-1] <= 1e-12:
             raise ValueError("basis matrix is (numerically) rank deficient")
         self._smax, self._smin = float(sv[0]), float(sv[-1])
+        self._ambient_rows = ambient._row_kernel()  # built once, with the space
 
     def norm(self, x):
         return float(self.norm_rows(np.reshape(x, (1, -1)))[0])
 
     def norm_rows(self, m):
-        return self._row_kernel()(np.asarray(m, dtype=float))
+        return self._rows(np.asarray(m, dtype=float))
+
+    def _rows(self, m):
+        # the fresh product is owned: the ambient kernel works in it
+        return self._ambient_rows(m @ self.basis.T)
 
     def _row_kernel(self):
         """norm_rows of a float64 (k, dim) array as a function of it (see
         NormedSpace._row_kernel); a subspace may be the ambient space of
         another."""
-        ambient, basis_t = self.ambient._row_kernel(), self.basis.T
-        # the fresh product is owned: the ambient kernel works in it
-        return lambda m: ambient(m @ basis_t)
+        return self._rows
 
     @property
     def row_width(self):

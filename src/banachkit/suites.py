@@ -129,14 +129,14 @@ def suite_rademacher(seed=0, budget=32, tol=1e-12):
                   measured=two, bound=math.sqrt(n))
     rng = np.random.default_rng(seed)
     zs = []
+    seeds = child_seeds(seed, 20)
     for i in range(20):
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 7))
         config = rng.standard_normal((n, dim))
         space = NormedSpace(lp(float(rng.uniform(1, 4))), dim)
         exact = rademacher_average(config, space).value
-        mc = rademacher_average(config, space, enum_cap=0, samples=20_000,
-                                seed=child_seeds(seed, 20)[i])
+        mc = rademacher_average(config, space, enum_cap=0, samples=20_000, seed=seeds[i])
         zs.append(abs(mc.value - exact) / mc.stderr if mc.stderr > 0 else 0.0)
     # a single 3-sigma excursion among 20 draws is expected noise; two,
     # or any 4-sigma one, is not
@@ -167,13 +167,13 @@ def suite_contraction(seed=0, budget=32, tol=1e-12):
     rep = SuiteReport("contraction", seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
+    seeds = child_seeds(seed, 50)
     for i in range(50):
         n = int(rng.integers(1, 11))
         dim = int(rng.integers(1, 7))
         config = rng.standard_normal((n, dim))
         space = NormedSpace([lp(1), lp(2), lp(math.inf)][i % 3], dim)
-        box, signs = contraction_check(config, space, budget=budget,
-                                       seed=child_seeds(seed, 50)[i])
+        box, signs = contraction_check(config, space, budget=budget, seed=seeds[i])
         worst = max(worst, abs(box - signs))
     rep.check("box-equals-signs", worst <= tol, measured=worst, bound=tol, seed=seed)
     return rep
@@ -184,13 +184,13 @@ def suite_gauss_rademacher(seed=0, budget=32, tol=0.0):
     rng = np.random.default_rng(seed)
     ok = True
     worst = math.inf
+    seeds = child_seeds(seed, 40)
     for i in range(40):
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 7))
         config = rng.standard_normal((n, dim))
         space = NormedSpace([lp(1), lp(2), lp(math.inf)][i % 3], dim)
-        res = gauss_vs_rademacher(config, space, samples=20_000,
-                                  seed=child_seeds(seed, 40)[i])
+        res = gauss_vs_rademacher(config, space, samples=20_000, seed=seeds[i])
         margin = res["ratio"] - (res["floor"] - 3.0 * res["ratio_stderr"])
         ok &= margin >= 0.0
         worst = min(worst, res["ratio"])
@@ -323,6 +323,7 @@ def suite_gauges(seed=0, budget=16, tol=0.05):
     rng = np.random.default_rng(seed)
     violations = 0
     total = 0
+    seeds = child_seeds(seed, 20)
     for i in range(20):
         sp = spaces[i % 3]
         kind = ("summing", "cotype")[i % 2]
@@ -333,8 +334,7 @@ def suite_gauges(seed=0, budget=16, tol=0.05):
             t[at: at + int(s)] = rng.uniform(0.2, 1.0, int(s))
             taus.append(t)
             at += int(s)
-        res = self_concavity_check(taus, sp, kind, budget=budget,
-                                   seed=child_seeds(seed, 20)[i], tol=tol)
+        res = self_concavity_check(taus, sp, kind, budget=budget, seed=seeds[i], tol=tol)
         total += 1
         violations += 0 if res.within() else 1
     rep.check("self-concavity", violations == 0, measured=violations, bound=0.0,
@@ -421,7 +421,8 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     Each trial draws S and R from its own seed. The S norms of a run's
     trials come from one operator_norms call: out of a cube past
     ENUM_CAP their vertex ascents climb in lockstep, each bit for bit as
-    it would alone. ||R|| into l_inf is exact.
+    it would alone. ||R|| into l_inf is exact, and the R norms are one
+    operator_norms call too, the dual norms of all their rows at once.
     """
     rep = SuiteReport("eigen-decay", seed)
     q = float(q)
@@ -452,15 +453,15 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     def run_trials(master):
         seeds = child_seeds(master, trials)
         rngs = [np.random.default_rng(s) for s in seeds]
-        stack = np.empty((trials, n, N))
-        for S, rng in zip(stack, rngs):
+        S_stack, R_stack = np.empty((trials, n, N)), np.empty((trials, N, n))
+        for S, R, rng in zip(S_stack, R_stack, rngs):
             S[...] = rng.standard_normal((n, N)) / math.sqrt(N)
-        norms_S = operator_norms(stack, linf, lq, budget, seeds=seeds)
+            R[...] = rng.standard_normal((N, n)) / math.sqrt(n)
+        norms_S = operator_norms(S_stack, linf, lq, budget, seeds=seeds)
+        norms_R = operator_norms(R_stack, lq, linf, budget, seeds=seeds)
         ks = np.arange(1, n + 1, dtype=float)
         rs = []
-        for S, rng, s, nS in zip(stack, rngs, seeds, norms_S):
-            R = rng.standard_normal((N, n)) / math.sqrt(n)
-            nR = operator_norm(LinearMap(R, lq, linf), budget=budget, seed=s)
+        for S, R, nS, nR in zip(S_stack, R_stack, norms_S, norms_R):
             lam = eigenvalue_sequence(S @ R)
             rs.append(float(np.max(ks ** (1 / q) * lam.moduli)) / (nS.value * nR.value))
         return np.array(rs)

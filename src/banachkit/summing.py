@@ -16,8 +16,8 @@ import numpy as np
 from .averages import _draw_gaussians, _draw_signs, gaussian_average, rademacher_average
 from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
-from .linmaps import ENUM_CAP, identity_map, sign_norms, weak_lq_upper
-from .search import batch_forms, child_seeds, multistart_maximize
+from .linmaps import ENUM_CAP, identity_map, sign_norms, sign_weights, weak_lq_upper
+from .search import _scaled_rows, batch_forms, child_seeds, multistart_maximize
 from .snumbers import _approx_lower_from_l2, _coordinate_frames
 from .spaces import gweak, lp
 
@@ -60,9 +60,7 @@ def _config_search(score, space, n, budget, seed):
     stack C of such configurations. Their denominators are never 0, so
     score needs no guard for it."""
     def feasible(P):
-        m = np.max(np.abs(P), axis=1)
-        ok = m != 0.0
-        return P[ok] / m[ok, None], ok
+        return _scaled_rows(P, np.maximum.reduce(np.abs(P), axis=1))
 
     return multistart_maximize(
         **batch_forms(feasible, lambda X: score(X.reshape(-1, n, space.dim))),
@@ -146,7 +144,8 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     s_search, s_final = child_seeds(seed, 2)
     use_enum = variable == "rademacher" and n <= ENUM_CAP
     if use_enum:
-        draws = n
+        # the sign table, built once for every candidate where it fits a block
+        draws = sign_weights(n, X.dim, X)[0]
     else:
         draws = np.empty((samples, n))
         sampler = _draw_gaussians if variable == "gaussian" else _draw_signs
@@ -158,7 +157,7 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     # (common random numbers), through sign_norms
     def score(C):
         num = strong.norm_rows(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n))
-        return num / np.mean(sign_norms(draws, C, X), axis=1)
+        return num / sign_norms(draws, C, X).mean(axis=1)
 
     val, wit = _config_search(score, X, n, budget, seed)
 

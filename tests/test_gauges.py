@@ -9,6 +9,7 @@ from banachkit import (GrowthSequence, NormedSpace, alternative_classify,
                        lorentz_norm, lp, opt_gauge, iterated_log_bound,
                        self_concavity_check, submultiplicativity_check,
                        tensor_square)
+from banachkit import linmaps
 from banachkit.gauges import _gauge_objective, reevaluate_gauge
 from banachkit.linmaps import sign_norms, sign_patterns
 
@@ -67,6 +68,23 @@ def test_streamed_gauge_table_equals_the_whole_one(kind):
         assert np.array_equal(value(stack), reduce(sign_norms(table, stack, sp), axis=1)
                               / np.min(sp.norm_rows(stack.reshape(-1, dim)).reshape(2, m),
                                        axis=1))
+
+
+@pytest.mark.parametrize("kind", ["summing", "cotype"])
+def test_gauge_objective_builds_its_table_once(kind, monkeypatch):
+    # a table that fits one block is built with the objective, not again at
+    # every evaluation; a larger one is streamed, and never built whole
+    calls = []
+    patterns = linmaps.sign_patterns
+    monkeypatch.setattr(linmaps, "sign_patterns", lambda n: calls.append(n) or patterns(n))
+    rng = np.random.default_rng(13)
+    for m, built in ((5, [5]), (16, [])):
+        calls.clear()
+        sp = NormedSpace(lp(3), 6)
+        value = _gauge_objective(rng.uniform(0.1, 2.0, m), sp, kind)
+        for _ in range(3):
+            value(rng.standard_normal((4, m, 6)))
+        assert [n for n in calls if n == m] == built
 
 
 def test_gauge_of_twenty_entries_holds_no_weighted_table():

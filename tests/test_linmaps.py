@@ -10,7 +10,7 @@ from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identit
                        weak_lq_functional)
 from banachkit import linmaps
 from banachkit.linmaps import (SIGN_BLOCK, operator_norms, sign_norms, sign_pattern,
-                               sign_patterns, weak_lq_upper)
+                               sign_patterns, sign_weights, weak_lq_upper)
 from banachkit.search import child_seeds, multistart_maximize, split_budget
 
 
@@ -733,3 +733,37 @@ def test_identity_map_and_compose_mismatch():
     other = identity_map(space(1, 3))
     with pytest.raises(ValueError):
         idm.compose(other)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 4), (3, 4), (13, 6), (14, 6), (15, 6), (15, 9), (16, 4),
+                                    (9, 600)])
+def test_a_shared_sign_table_equals_the_streamed_one(n, dim):
+    # a table that fits one block of sign_norms is built once by its caller;
+    # one that does not is streamed from n
+    rng = np.random.default_rng(50 + n)
+    for sp in (parse_space(f"lorentz:3:2:{dim}"),
+               SubspaceSpace(rng.standard_normal((dim + 5, dim)), parse_space(f"lp:3:{dim + 5}"))):
+        rows = linmaps._block_rows(max(n, dim, sp.row_width))
+        stack = rng.standard_normal((3, n, dim))
+        for scale in (None, rng.uniform(0.1, 2.0, n)):
+            signs, shared_scale = sign_weights(n, dim, sp, scale)
+            if 2 ** (n - 1) > rows:
+                assert signs == n and shared_scale is scale
+                continue
+            table = sign_patterns(n).astype(float)
+            assert shared_scale is None
+            assert signs.tobytes() == (table if scale is None else table * scale).tobytes()
+            for config in (stack, stack[0]):
+                assert sign_norms(signs, config, sp).tobytes() == \
+                    sign_norms(n, config, sp, scale=scale).tobytes()
+
+
+def test_vertex_ascent_into_a_subspace_reads_each_vertex_alone():
+    # a subspace's block rows may round apart from its one-row calls, so
+    # its final vertices are read one by one: the value is the scalar norm
+    rng = np.random.default_rng(51)
+    for amb, sub_dim in ((7, 5), (40, 16)):
+        cod = SubspaceSpace(rng.standard_normal((amb, sub_dim)), parse_space(f"lp:3:{amb}"))
+        stack = rng.standard_normal((6, sub_dim, 30))
+        for a, (value, witness) in zip(stack, linmaps._vertex_ascents(stack, cod, 16, range(6))):
+            assert value == cod.norm(a @ witness)

@@ -441,3 +441,38 @@ def test_every_search_hands_one_form_of_its_objective(site, monkeypatch):
             searches += 1
             assert_one_form(forms, rng)
     assert searches >= 3
+
+
+def test_scaled_rows_skip_the_mask_only_when_every_row_is_kept():
+    rng = np.random.default_rng(610)
+    P = rng.standard_normal((7, 5))
+    for s in (rng.uniform(0.5, 2.0, 7), np.array([1.5, 0.0, 2.0, 0.7, 0.0, 1.0, 3.0])):
+        X, ok = search._scaled_rows(P, s)
+        assert ok.tolist() == (s != 0.0).tolist()
+        assert X.tobytes() == (P[ok] / s[ok, None]).tobytes()
+
+
+@pytest.mark.parametrize("site", SEARCH_SITES)
+def test_an_all_feasible_block_scores_as_the_masked_path(site, monkeypatch):
+    # rows skips the mask when feasible keeps every row; the scores must be
+    # those of the masked path, bit for bit
+    module, call = SEARCH_SITES[site]
+    pairs = []
+
+    def recording(feasible, score):
+        pairs.append((feasible, score))
+        return search.batch_forms(feasible, score)
+
+    rng = np.random.default_rng(620)
+    with monkeypatch.context() as m:
+        m.setattr(module, "batch_forms", recording)
+        shapes = [forms["shape"] for space in families(5)
+                  for forms in handed_forms(monkeypatch, module, call, space, rng)]
+    assert len(shapes) == len(pairs) >= 3
+    for (feasible, score), shape in zip(pairs, shapes):
+        P = rng.standard_normal((7, math.prod(shape))) * rng.uniform(0.1, 3.0, (7, 1))
+        X, ok = feasible(P)
+        assert ok.all()
+        masked = np.full(len(P), -np.inf)
+        masked[ok] = score(X[ok])
+        assert search.batch_forms(feasible, score)["rows"](P).tobytes() == masked.tobytes()

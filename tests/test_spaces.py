@@ -357,3 +357,46 @@ def test_integer_inputs_equal_their_float_copies(row_families, name):
     assert same_bits(rearrange(x), np.array([128.0, 1.0]))
     assert lp(1).norm_rows(x[None])[0] == 129.0
     assert lp(math.inf).norm(x) == 128.0
+
+
+@pytest.mark.parametrize("name", ["lp:1", "lp:1.5", "lp:2", "lp:inf", "lorentz:3:2",
+                                  "lorentz:2:inf", "gweak:pow:0.5", "gweak:file"])
+def test_normed_space_rows_equal_one_row_and_scalar_calls(row_families, name):
+    # a NormedSpace takes its weights once, in __init__; every row of a
+    # block must still read as its one-row call and its scalar form
+    space = NormedSpace(row_families[name], 7)
+    for kept, fresh in ((space._norm_weights, space.space._weights(7)),
+                        (space._dual_weights, space.space._dual_weights(7))):
+        assert (kept is None and fresh is None) or same_bits(kept, fresh)  # None for l_p
+    m = np.random.default_rng(31).standard_normal((7, 7))
+    before = m.copy()
+    rows, duals = space.norm_rows(m), space.dual_upper_rows(m)
+    assert same_bits(m, before)
+    assert same_bits(rows, space.space.norm_rows(m))
+    assert same_bits(duals, space.space.dual_upper_rows(m))
+    for i, x in enumerate(m):
+        assert same_bits(space.norm_rows(m[i:i + 1]), rows[i:i + 1])
+        assert same_bits(space.dual_upper_rows(m[i:i + 1]), duals[i:i + 1])
+        assert space.norm(x) == rows[i] and space.dual_upper(x) == duals[i]
+    assert same_bits(m, before)
+
+
+def test_subspace_kernel_is_built_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    sub = SubspaceSpace(rng.standard_normal((9, 7)), parse_space("lorentz:3:2:9"))
+    # norm_rows no longer asks the ambient space for its kernel
+    monkeypatch.setattr(NormedSpace, "_row_kernel", lambda self: pytest.fail("rebuilt"))
+    m = rng.standard_normal((7, 7))
+    before = m.copy()
+    rows, duals = sub.norm_rows(m), sub.dual_upper_rows(m)
+    assert same_bits(m, before)
+    # a block goes through one gemm with the basis, one row through a gemv,
+    # which may round apart; each is the ambient norm of its own product
+    assert same_bits(rows, sub.ambient.norm_rows(m @ sub.basis.T))
+    for i, x in enumerate(m):
+        one = sub.norm_rows(m[i:i + 1])
+        assert same_bits(one, sub.ambient.norm_rows(m[i:i + 1] @ sub.basis.T))
+        assert sub.norm(x) == one[0]
+        assert same_bits(sub.dual_upper_rows(m[i:i + 1]), duals[i:i + 1])
+        assert sub.dual_upper(x) == duals[i]
+    assert same_bits(m, before)

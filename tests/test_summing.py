@@ -8,6 +8,7 @@ from banachkit import (C_delta, GrowthSequence, H_constant, LinearMap,
                        NormedSpace, constant_ledger, cotype_q_constant,
                        equal_norm_premise_check, identity_map, lp, pi_Y1,
                        pi_pq_n, equal_norm_inequality, weak_cotype_g)
+from banachkit import linmaps
 from banachkit.linmaps import weak_lq_upper
 from banachkit.spaces import gweak, parse_space
 from banachkit.summing import PremiseError, _best_frame, ledger_from_report
@@ -97,6 +98,15 @@ def test_cotype_monotone_in_n():
     vals = [cotype_q_constant(space(math.inf, 4), 2, n, budget=8, seed=5).value
             for n in (1, 2, 3, 4)]
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def test_cotype_search_builds_its_sign_table_once(monkeypatch):
+    # every candidate meets the same sign table, built once for the search
+    calls = []
+    patterns = linmaps.sign_patterns
+    monkeypatch.setattr(linmaps, "sign_patterns", lambda n: calls.append(n) or patterns(n))
+    cotype_q_constant(space(3, 4), 2, 3, budget=8, seed=5)
+    assert calls == [3]
 
 
 def test_cotype_gaussian_variant_records_stderr():
