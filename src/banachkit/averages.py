@@ -5,15 +5,16 @@ global flip symmetry halves the pattern count). Beyond the cap, and
 for gaussian weights always, chunked Monte Carlo with per-chunk seeds
 derived from the master seed keeps results reproducible; each chunk
 draws its weights in row blocks, one after another, from its own
-generator. Both stream through the blocks of linmaps.sign_norms, so
-peak memory is a few blocks, whatever the dimension.
+generator. Both run as jobs of the one sign-block runner of linmaps
+(_run_jobs), so peak memory is a few blocks, whatever the dimension:
+each block of an enumeration is a job whose norms are summed alone (the
+sums added pairwise, as numpy adds the whole vector), and each Monte
+Carlo chunk a job that draws and scores its blocks in order.
 
-A job of at least four blocks of entries runs on two threads, the
-calling thread and one pool thread, each with its own working array:
-an enumeration hands out its blocks and sums each block's norms (the
-sums added pairwise, as numpy adds the whole vector), a Monte Carlo
-average hands out its chunks. Results are combined in order, so they
-are those of one thread bit for bit.
+Jobs of at least four blocks of entries in all run on two threads, the
+calling thread and one pool thread, each with its own working array.
+Results are combined in order, so they are those of one thread bit for
+bit.
 """
 
 import math
@@ -23,8 +24,7 @@ import numpy as np
 
 from .estimates import AverageResult
 # sign_patterns is unused here but stays bound: the benchmark's tracer patches it here too
-from .linmaps import (ENUM_CAP, _chunk_norms, _sign_sum, sign_norms, sign_pattern,
-                      sign_patterns)  # noqa: F401
+from .linmaps import ENUM_CAP, _chunk_norms, _sign_max, _sign_sum, sign_patterns  # noqa: F401
 from .search import batch_forms, child_seeds, multistart_maximize
 
 __all__ = [
@@ -144,10 +144,7 @@ def contraction_check(config, space, budget=16, seed=0):
     n = config.shape[0]
     if n > ENUM_CAP:
         raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
-    vals = sign_norms(n, config, space)
-    i = int(np.argmax(vals))
-    sup_signs = float(vals[i])
-    eps = sign_pattern(n, i)
+    sup_signs, eps = _sign_max(n, config, space)
 
     box_val, _ = multistart_maximize(
         **batch_forms(lambda P: (np.clip(P, -1.0, 1.0), np.ones(len(P), dtype=bool)),

@@ -35,14 +35,14 @@ def _vector(text):
         raise DescriptorError(text, text, "not a comma-separated vector") from exc
 
 
-def _sample_count(text):
-    """A Monte Carlo sample count: an integer of at least 1."""
+def _positive_int(text):
+    """A count of samples or vectors: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid sample count {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs at least 1, got {text!r}")
     return value
 
 
@@ -66,7 +66,7 @@ def _emit(args, payload, lines):
 
 def cmd_norm(args):
     space, dim = parse_family(args.descriptor)
-    vec = _vector(args.vec) if args.vec else np.loadtxt(args.vec_file)
+    vec = _vector(args.vec) if args.vec is not None else np.loadtxt(args.vec_file)
     if dim is not None and vec.size != dim:
         raise DescriptorError(args.descriptor, str(dim), "dimension does not match the vector")
     value = space.norm(vec)
@@ -254,8 +254,9 @@ def build_parser():
 
     p = sub.add_parser("norm", parents=[common], help="evaluate a sequence norm")
     p.add_argument("descriptor")
-    p.add_argument("--vec", help="comma-separated entries")
-    p.add_argument("--vec-file")
+    vec = p.add_mutually_exclusive_group(required=True)
+    vec.add_argument("--vec", help="comma-separated entries")
+    vec.add_argument("--vec-file")
 
     p = sub.add_parser("growth", parents=[common], help="validate a growth sequence")
     p.add_argument("descriptor", help="gweak:pow:<a>:<N> or gweak:file:<path>:<N>")
@@ -280,19 +281,19 @@ def build_parser():
     p.add_argument("--config-file")
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")
     p.add_argument("--moment", type=int, choices=(1, 2), default=1)
-    p.add_argument("--samples", type=_sample_count, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
 
     p = sub.add_parser("summing", parents=[budgeted], help="summing norm lower bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--matrix-file")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
 
     p = sub.add_parser("cotype", parents=[budgeted], help="cotype constant lower bounds")
     p.add_argument("--space", required=True)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--variable", choices=("rademacher", "gaussian"), default="rademacher")
 
     p = sub.add_parser("gauge", parents=[budgeted], help="optimal gauge upper bounds")
@@ -308,7 +309,7 @@ def build_parser():
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--H", type=float, default=1.0)
     p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--samples", type=_sample_count, default=20_000)
+    p.add_argument("--samples", type=_positive_int, default=20_000)
 
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
     p.add_argument("suite", nargs="?", default="all",

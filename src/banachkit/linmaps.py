@@ -12,20 +12,24 @@ operator_norms, which takes a stack of maps at once where the route
 allows (the cube ascents climb in lockstep); operator_norm is its
 one-map call.
 
-Every sign enumeration and Monte Carlo average of the package goes
-through sign_norms, which streams the product of a weight table and a
-configuration in row blocks of at most SIGN_BLOCK entries. A sign
-enumeration writes each block of patterns directly and a Monte Carlo
-chunk draws its weights block by block, so peak memory is a few blocks,
-whatever the dimension. The blocks of a large enumeration or table, and
-the chunks of a large Monte Carlo average, run on the calling thread and
-one pool thread (see _fan_out), with the same results bit for bit.
+Every sign enumeration and Monte Carlo average of the package forms
+the product of a weight table and a configuration in row blocks of at
+most SIGN_BLOCK entries, through one job runner, _run_jobs. A job is a
+fill and the blocks it runs in order on one thread: one block of a sign
+table (sign_norms, _sign_sum), or one Monte Carlo chunk, which draws its
+weights block by block (_chunk_norms). A sign enumeration writes each
+block of patterns directly, so peak memory is a few blocks, whatever the
+dimension. The jobs of a large table or average run on the calling
+thread and one pool thread (see _fan_out), with the same results bit
+for bit. The exact sign maximum, with its first maximizing pattern,
+comes from _sign_max alone.
 """
 
 import math
 import os
 import threading
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -161,31 +165,22 @@ def _spans(m, rows):
 
 
 def _keep(buf):
-    """buf itself: the prepare of a table or a draw, which share nothing
-    between blocks, and the reduce of sign_norms' one chunk."""
+    """buf itself: the prepare of a table or a Monte Carlo chunk, whose
+    blocks share nothing."""
     return buf
 
 
 def _pattern_fill(n, rows, scale):
     """(spans, prepare, fill) of the table sign_patterns(n) * scale (scale
-    None: the signs), `rows` (a power of two) rows at a time, without the
-    table; see _weight_fill. With blocks of 2^b rows, the last b columns
-    are the same in every block (those of sign_patterns(b + 1) past its
-    first), and prepare writes them; the first n - b columns of block t
-    are constants, which fill sets: column j holds 1 - 2 * bit
-    (n - b - 1 - j) of t. A table that fits in one block is that block.
-    A sign times scale[j] is exact, so the blocks equal the rows of the
-    scaled table bit for bit."""
+    None: the signs), of more than `rows` (a power of two) rows, `rows`
+    rows at a time, without the table; see _weight_fill. With blocks of
+    2^b rows, the last b columns are the same in every block (those of
+    sign_patterns(b + 1) past its first), and prepare writes them; the
+    first n - b columns of block t are constants, which fill sets: column
+    j holds 1 - 2 * bit (n - b - 1 - j) of t. A sign times scale[j] is
+    exact, so the blocks equal the rows of the scaled table bit for bit."""
     if n > ENUM_CAP:
         raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
-    m = 2 ** (n - 1)
-    if m <= rows:
-        table = sign_patterns(n) if scale is None else sign_patterns(n) * scale
-
-        def prepare(buf):
-            buf[:m] = table
-
-        return [(0, m)], prepare, lambda start, stop, buf: buf[:m]
     b = rows.bit_length() - 1
     tail = sign_patterns(b + 1)[:, 1:]
     shifts = np.arange(n - b - 1, -1, -1)
@@ -202,31 +197,39 @@ def _pattern_fill(n, rows, scale):
         block[:, :n - b] = head if scale is None else head * scale[:n - b]
         return block
 
-    return [(start, start + rows) for start in range(0, m, rows)], prepare, fill
+    return [(start, start + rows) for start in range(0, 2 ** (n - 1), rows)], prepare, fill
 
 
 def _weight_fill(signs, m, rows, scale):
-    """(spans, prepare, fill) of the weight table W that signs gives (see
-    sign_norms): spans lists the (start, stop) rows of its blocks;
-    prepare(buf), run on the calling thread, writes into a working
-    buffer what every block shares; fill(start, stop, buf)
-    returns that block of W, written into buf unless it is a view of W."""
+    """(spans, prepare, fill) of the m-row weight table W that signs gives
+    (see sign_norms), in blocks of `rows` rows: spans lists the (start,
+    stop) rows of its blocks; prepare(buf), run on the calling thread,
+    writes into a working buffer what every block shares; fill(start,
+    stop, buf) returns that block of W, written into buf unless it is a
+    view of W. An int whose table fits in one block is that table, built
+    here; a larger one is streamed (see _pattern_fill)."""
     if isinstance(signs, (int, np.integer)):
-        return _pattern_fill(int(signs), rows, scale)
-    if callable(signs):
-        def fill(start, stop, buf):
-            signs(buf[:stop - start])
-            return buf[:stop - start]
-    else:
-        def fill(start, stop, buf):
-            block = signs[start:stop]
-            if block.dtype != np.float64:
-                # numpy multiplies a mixed int8 x float pair several times
-                # slower than two float arrays
-                buf[:stop - start] = block
-                block = buf[:stop - start]
-            return block
+        if m > rows:
+            return _pattern_fill(int(signs), rows, scale)
+        signs = sign_patterns(signs) if scale is None else sign_patterns(signs) * scale
+
+    def fill(start, stop, buf):
+        block = signs[start:stop]
+        if block.dtype != np.float64:
+            # numpy multiplies a mixed int8 x float pair several times
+            # slower than two float arrays
+            buf[:stop - start] = block
+            block = buf[:stop - start]
+        return block
+
     return _spans(m, rows), _keep, fill
+
+
+def _drawn(draw, start, stop, buf):
+    """The fill of a Monte Carlo chunk (see _chunk_norms): its next
+    stop - start rows, drawn into buf."""
+    draw(buf[:stop - start])
+    return buf[:stop - start]
 
 
 def _block_rows(width):
@@ -268,43 +271,57 @@ class _Blocks:
         blocks of entries on, else one."""
         return _WORKERS if m * self.width >= _FAN_OUT * SIGN_BLOCK else 1
 
-    def work(self, m):
-        """A working array for the blocks of a table of m rows, as the
-        weight buffer and the product buffer."""
+    def work(self, k):
+        """A working array for blocks of up to k rows, as the weight buffer
+        and the product buffer."""
         n, dim = self.config.shape[-2:]
-        k = min(m, self.rows + 1)  # rows of the tallest block: a joined tail adds one
         work = np.empty(k * (n + dim))
         return work[:k * n].reshape(k, n), work[k * n:]
 
-    def norms(self, fill, start, stop, work):
+    def norms(self, fill, start, stop, buf, prod):
         """The row norms of rows start:stop of W @ config, with fill writing
-        the weight block into work (see _weight_fill)."""
-        buf, prod = work
+        the weight block into buf (see _weight_fill)."""
         dim = self.config.shape[-1]
         block = fill(start, stop, buf)
         return self.kernel(np.matmul(block, self.config,
                                      out=prod[:(stop - start) * dim].reshape(-1, dim)))
 
 
-def _blockwise(plan, signs, m, scale, each):
-    """[each(start, stop, norms) for every block of sign_norms(signs,
-    plan.config, space)], with norms the row norms of rows start:stop of
-    W @ config (m rows), for an int or a table. The blocks run on
-    plan.threads(m) threads (see _fan_out); each may run on either."""
-    spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
-    works = [plan.work(m) for _ in range(plan.threads(m))]
-    for buf, _ in works:
+def _run_jobs(plan, jobs, threads, prepare=_keep):
+    """[reduce(norms) for each job (fill, spans, reduce)], with norms the
+    row norms of the rows of W @ plan.config that spans lists, in order,
+    and fill writing each block of W (see _weight_fill). A job runs its
+    spans in order on one thread; the jobs run on `threads` threads (see
+    _fan_out), each with its own working array, which prepare readies on
+    the calling thread. A job of one span hands its fresh norms straight
+    to reduce, a longer one gathers them first; reduce may work in its
+    argument in place, on either thread."""
+    tallest = max(stop - start for _, spans, _ in jobs for start, stop in spans)
+    gathered = max((spans[-1][1] for _, spans, _ in jobs if len(spans) > 1), default=0)
+    works = []
+    for _ in range(threads):
+        buf, prod = plan.work(tallest)
         prepare(buf)
-    return _fan_out(lambda i, work: each(*spans[i], plan.norms(fill, *spans[i], work)),
-                    len(spans), works)
+        works.append((buf, prod, np.empty(gathered)))
+
+    def run(i, work):
+        fill, spans, reduce = jobs[i]
+        buf, prod, out = work
+        if len(spans) == 1:
+            return reduce(plan.norms(fill, *spans[0], buf, prod))
+        for start, stop in spans:
+            out[start:stop] = plan.norms(fill, start, stop, buf, prod)
+        return reduce(out[:stop])
+
+    return _fan_out(run, len(jobs), works)
 
 
 def _all_norms(plan, signs, m, scale, out):
-    """The m norms of _blockwise, written into out."""
-    def keep(start, stop, norms):
-        out[start:stop] = norms
-
-    _blockwise(plan, signs, m, scale, keep)
+    """The m norms of sign_norms(signs, plan.config, space), one job a
+    block, written into out."""
+    spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
+    _run_jobs(plan, [(fill, [span], partial(np.copyto, out[slice(*span)])) for span in spans],
+              plan.threads(m), prepare)
     return out
 
 
@@ -314,58 +331,51 @@ def _sign_sum(n, config, space, f):
 
     numpy sums a float64 vector pairwise, halving it down to runs of 128
     entries. Blocks of a power of two rows, at least 128, are whole
-    subtrees of that sum, so a job spread over threads sums each block
-    and adds the sums pairwise, without the vector of 2^(n-1) norms.
+    subtrees of that sum, so each block is summed alone and the sums are
+    added pairwise, without the vector of 2^(n-1) norms.
     """
     plan = _Blocks(config, space)
     m = 2 ** (n - 1)
-    if plan.rows < 128 or plan.threads(m) == 1:
+    if plan.rows < 128:
         return np.sum(f(_all_norms(plan, n, m, None, np.empty(m))))
-    sums = np.array(_blockwise(plan, n, m, None, lambda start, stop, norms: np.sum(f(norms))))
+    spans, prepare, fill = _weight_fill(n, m, plan.rows, None)
+    total = lambda norms: np.sum(f(norms))
+    sums = np.array(_run_jobs(plan, [(fill, [span], total) for span in spans],
+                              plan.threads(m), prepare))
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
     return sums[0]
 
 
 def _chunk_norms(draws, counts, config, space, reduce):
-    """[reduce(sign_norms(draw, config, space, count)) for each draw and
-    count], bit for bit, reduce working in place on any thread. Two or
-    more chunks run on plan.threads(rows in all) threads (see _fan_out),
-    each thread drawing the chunks it takes block by block in order."""
+    """[reduce(norms) for each draw and count], reduce working in place on
+    any thread: norms are the count row norms of W @ config, bit for bit
+    (see sign_norms), with draw(block) filling the float block with the
+    next rows of W, block after block in order, as a Monte Carlo chunk
+    drawn from its own generator. Each chunk is one job (see _run_jobs);
+    two or more run on plan.threads(rows in all) threads."""
     plan = _Blocks(config, space)
-    fills = [_weight_fill(draw, m, plan.rows, None) for draw, m in zip(draws, counts)]
-    threads = plan.threads(sum(counts)) if len(counts) > 1 else 1
-    longest = max(counts)
-    scratch = [(plan.work(longest), np.empty(longest)) for _ in range(threads)]
-
-    def chunk(i, scratch):
-        work, out = scratch
-        spans, _, fill = fills[i]
-        for start, stop in spans:
-            out[start:stop] = plan.norms(fill, start, stop, work)
-        return reduce(out[:counts[i]])
-
-    return _fan_out(chunk, len(counts), scratch)
+    jobs = [(partial(_drawn, draw), _spans(m, plan.rows), reduce)
+            for draw, m in zip(draws, counts)]
+    return _run_jobs(plan, jobs, plan.threads(sum(counts)) if len(counts) > 1 else 1)
 
 
-def sign_norms(signs, config, space, count=None, *, scale=None):
+def sign_norms(signs, config, space, *, scale=None):
     """space.norm_rows(W @ config) for a weight table W, in row blocks.
 
-    signs gives W in one of three ways:
+    signs gives W in one of two ways:
       - an int n: the table sign_patterns(n), or sign_patterns(n) * scale
         given a length-n scale, written block by block and never built
-        whole (see _pattern_fill); sign_pattern(n, i) rebuilds row i,
-        such as the row of a maximum. Calls that share one such table
-        take it from sign_weights, built once where it fits one block;
-      - a 2-d array: W itself, such as a weighted sign table;
-      - a callable draw(block) with a row count `count`: draw fills the
-        (k, n) float array block with the next k rows of W, block after
-        block in order, as a Monte Carlo chunk drawn from its own
-        generator.
+        whole unless it fits in one block (see _weight_fill);
+        sign_pattern(n, i) rebuilds row i, such as the row of a maximum.
+        Calls that share one such table take it from sign_weights, built
+        once where it fits one block;
+      - a 2-d array: W itself, such as a weighted sign table.
+    Monte Carlo chunks, which draw W block by block, take the same
+    blocks through _chunk_norms.
 
-    config is one (n, dim) configuration, or a (k, n, dim) stack of them
-    with an int or a table; a stack gives the (k, len(W)) norms of each
-    configuration.
+    config is one (n, dim) configuration, or a (k, n, dim) stack of them;
+    a stack gives the (k, len(W)) norms of each configuration.
 
     Each block holds at most SIGN_BLOCK entries of the widest array
     formed on it: the block of weights, W @ config, or the rows
@@ -381,23 +391,20 @@ def sign_norms(signs, config, space, count=None, *, scale=None):
     path. A stack so gives the norms of its configurations one by one,
     bit for bit within the same limit.
 
-    An int or a table of at least four blocks of entries runs on two
-    threads, the calling thread and one pool thread, where the process
-    may use two CPUs; there is no setting for it. Each block keeps its
-    rows and its place, so the norms are those of one thread bit for
-    bit. Each thread works in one working array, for the weight block
-    and the product, allocated on the calling thread and reused for
-    every block it takes: blocks of this size taken afresh each time
-    went back to the operating system between uses and faulted their
-    pages in again. The space works in each product in place. So peak
-    memory is a few blocks, whatever the dimension.
+    A table of at least four blocks of entries runs on two threads, the
+    calling thread and one pool thread, where the process may use two
+    CPUs; there is no setting for it. Each block keeps its rows and its
+    place, so the norms are those of one thread bit for bit. Each thread
+    works in one working array, for the weight block and the product,
+    allocated on the calling thread and reused for every block it takes:
+    blocks of this size taken afresh each time went back to the operating
+    system between uses and faulted their pages in again. The space works
+    in each product in place. So peak memory is a few blocks, whatever
+    the dimension.
     """
-    whole = isinstance(signs, (int, np.integer))
-    m = count if callable(signs) else 2 ** (signs - 1) if whole else signs.shape[0]
+    m = 2 ** (signs - 1) if isinstance(signs, (int, np.integer)) else signs.shape[0]
     if config.ndim == 3:
         return _stack_norms(signs, config, space, m, scale)
-    if callable(signs):
-        return _chunk_norms([signs], [m], config, space, _keep)[0]
     return _all_norms(_Blocks(config, space), signs, m, scale, np.empty(m))
 
 
@@ -411,15 +418,31 @@ def _stack_norms(signs, config, space, m, scale):
         return out
     step = plan.rows // m
     dim = config.shape[-1]
-    if isinstance(signs, (int, np.integer)):
-        signs = sign_patterns(signs) if scale is None else sign_patterns(signs) * scale
-    table = np.asarray(signs, dtype=float)
+    _, _, fill = _weight_fill(signs, m, plan.rows, scale)
+    table = fill(0, m, np.empty((m, config.shape[1])))  # W as one float block
     prod = np.empty((min(step, config.shape[0]), m, dim))
     for start in range(0, config.shape[0], step):
         part = config[start:start + step]
         block = np.matmul(table, part, out=prod[:len(part)])
         out[start:start + step] = plan.kernel(block.reshape(-1, dim)).reshape(-1, m)
     return out
+
+
+def _sign_max(n, config, space):
+    """(value, first maximizing row of sign_patterns(n)) of the sign norms
+    of one (n, dim) configuration, or a list of them for a (k, n, dim)
+    stack: the exact sign maximum sup_eps ||sum_k eps_k x_k||. A stack is
+    taken as many configurations at a time as sign_norms multiplies in
+    one block, so it holds no (k, 2^(n-1)) array of norms, and each value
+    equals its one-configuration call within the limit of sign_norms."""
+    if config.ndim == 2:
+        parts = [sign_norms(n, config, space)[None]]
+    else:
+        step = max(1, _block_rows(max(*config.shape[1:], space.row_width)) >> (n - 1))
+        parts = (sign_norms(n, config[i:i + step], space) for i in range(0, len(config), step))
+    found = [(float(v[i]), sign_pattern(n, i))
+             for vals in parts for v, i in zip(vals, vals.argmax(axis=1))]
+    return found if config.ndim == 3 else found[0]
 
 
 class LinearMap:
@@ -591,6 +614,8 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
       - "svd": one full svd per chunk of maps whose factors hold at most
         ASCENT_BLOCK entries;
       - "linf-rows": one dual_upper_rows over the rows of every map;
+      - "enumeration": one _sign_max over the stack, each map's columns
+        one configuration;
       - "vertex-ascent": the maps climb in lockstep in one _vertex_ascents
         call, and the largest singular values of the stacked svd that
         starts the ascents give meta["upper"];
@@ -602,7 +627,7 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
         ASCENT_BLOCK entries, and each map re-reads its best starts with
         its one-row objective (search.best_start); at a larger budget each
         map runs its own multistart_maximize.
-    "l1-columns" and "enumeration" are a loop over the maps.
+    "l1-columns" is a loop over the maps.
     """
     A = np.asarray(matrices, dtype=float)
     seeds = list(seeds)
@@ -651,17 +676,14 @@ def _exact_norms(route, A, dom, cod):
     if route == "linf-rows":  # the closed forms of dual_exact, row-wise
         duals = dom.dual_upper_rows(A.reshape(-1, dom.dim)).reshape(A.shape[:2])
         return [(d[i], {"row": int(i)}) for d, i in zip(duals, np.argmax(duals, axis=1))]
+    if route == "enumeration":  # the columns of each map as one configuration
+        return _sign_max(dom.dim, A.transpose(0, 2, 1), cod)
     out = []
-    for a in A:
-        if route == "l1-columns":
-            vals = cod.norm_rows(a.T)
-            j = int(np.argmax(vals))
-            w = np.zeros(dom.dim)
-            w[j] = 1.0
-        else:  # enumeration
-            vals = sign_norms(dom.dim, a.T, cod)
-            j = int(np.argmax(vals))
-            w = sign_pattern(dom.dim, j)
+    for a in A:  # l1-columns
+        vals = cod.norm_rows(a.T)
+        j = int(np.argmax(vals))
+        w = np.zeros(dom.dim)
+        w[j] = 1.0
         out.append((vals[j], w))
     return out
 
@@ -786,11 +808,9 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
                         meta={"upper": float(s[0])})
 
     if q == 1.0 and n <= ENUM_CAP:
-        vals = sign_norms(n, config, space)
-        i = int(np.argmax(vals))
-        v = float(vals[i])
-        return Estimate(v, EXACT, witness={"signs": sign_pattern(n, i)}, budget=0,
-                        seed=seed, meta={"upper": v})
+        v, signs = _sign_max(n, config, space)
+        return Estimate(v, EXACT, witness={"signs": signs}, budget=0, seed=seed,
+                        meta={"upper": v})
 
     upper = weak_lq_upper(config, space, q)
     moment = lp(q)

@@ -52,16 +52,15 @@ class SuiteReport:
         return record
 
     def check(self, name, ok, measured=None, bound=None, tier=ASSERT, seed=None,
-              runtime=None, inputs=None, extra=None, **more):
-        """Add a record; the entries of extra and any further keywords
-        both land in the record's flat extra dict. Without an explicit
-        runtime, the record gets the wall seconds since the report was
-        created or since its previous record."""
+              runtime=None, extra=None):
+        """Add a record, with a copy of extra as its extra dict. Without an
+        explicit runtime, the record gets the wall seconds since the
+        report was created or since its previous record."""
         if runtime is None:
             runtime = time.perf_counter() - self._mark
         verdict = ("pass" if ok else "fail") if tier == ASSERT else "observe"
-        return self.add(CheckRecord(name, tier, verdict, measured, bound, inputs or {},
-                                    seed, runtime, {**(extra or {}), **more}))
+        return self.add(CheckRecord(name, tier, verdict, measured, bound, seed=seed,
+                                    runtime=runtime, extra=dict(extra or {})))
 
     @property
     def passed(self):

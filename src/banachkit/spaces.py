@@ -10,8 +10,11 @@ The l_{p,inf} and weak families are quasi-norms and are flagged as such
 (is_quasi).
 
 The exact routes of linmaps and snumbers dispatch on the capability
-properties of a space (is_euclidean, is_l1, is_linf, has_exact_dual),
-never on family strings; a SubspaceSpace has none of them.
+flags of a space (is_euclidean, is_l1, is_linf, has_exact_dual), never
+on family strings. The two dimensioned spaces share one private base,
+which holds the flags' defaults (all False: a SubspaceSpace has none of
+them, a NormedSpace sets its own once) and the scalar forms, one-row
+calls of the row kernels.
 """
 
 import math
@@ -249,7 +252,29 @@ def cotype_index(space, n_max):
     return best if seen else math.inf
 
 
-class NormedSpace:
+class _Dimensioned:
+    """What the dimensioned spaces share: no capability unless a class or
+    an instance sets one, and the scalar forms as one-row calls of the
+    row kernels."""
+
+    is_euclidean = is_l1 = is_linf = has_exact_dual = False
+
+    def norm(self, x):
+        return float(self.norm_rows(np.reshape(x, (1, -1)))[0])
+
+    def dual_upper(self, y):
+        return float(self.dual_upper_rows(np.reshape(y, (1, -1)))[0])
+
+    def dual_exact(self, y):
+        """dual_upper(y) where it is the exact dual norm (has_exact_dual),
+        else None."""
+        return self.dual_upper(y) if self.has_exact_dual else None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.describe()})"
+
+
+class NormedSpace(_Dimensioned):
     """A sequence-space family pinned to a fixed dimension."""
 
     #: each row of a norm_rows block equals its one-row call bit for bit
@@ -265,6 +290,15 @@ class NormedSpace:
         # the weights of the row kernels at this width, computed once
         self._norm_weights = space._weights(self.dim)
         self._dual_weights = space._dual_weights(self.dim)
+        family, p = space.family, space.p
+        self.is_euclidean = p == 2.0 and (family == "lp"
+                                          or family == "lorentz" and space.q == 2.0)
+        # l_1^n: its unit ball is the convex hull of the signed coordinate vectors
+        self.is_l1 = family == "lp" and p == 1.0
+        # l_inf^n: its unit ball is the sign cube, its norm the largest modulus
+        self.is_linf = family == "lp" and p == math.inf
+        self.is_quasi = space.is_quasi
+        self.has_exact_dual = space.has_exact_dual
 
     def _check(self, x):
         x = np.asarray(x)
@@ -273,6 +307,7 @@ class NormedSpace:
         return x
 
     def norm(self, x):
+        # the family's scalar norm, the one norm span the benchmark's tracer counts
         return self.space.norm(self._check(x))
 
     def norm_rows(self, m):
@@ -290,32 +325,6 @@ class NormedSpace:
         """Widest row a norm_rows call forms: the rows it is given."""
         return self.dim
 
-    @property
-    def is_euclidean(self):
-        return (self.space.family == "lp" and self.space.p == 2.0) or (
-            self.space.family == "lorentz" and self.space.p == 2.0 and self.space.q == 2.0
-        )
-
-    @property
-    def is_l1(self):
-        """True for l_1^n, whose unit ball is the convex hull of the signed
-        coordinate vectors."""
-        return self.space.family == "lp" and self.space.p == 1.0
-
-    @property
-    def is_linf(self):
-        """True for l_inf^n, whose unit ball is the sign cube and whose
-        norm is the largest coordinate modulus."""
-        return self.space.family == "lp" and self.space.p == math.inf
-
-    @property
-    def is_quasi(self):
-        return self.space.is_quasi
-
-    @property
-    def has_exact_dual(self):
-        return self.space.has_exact_dual
-
     # comparison constants against the Euclidean norm on the same
     # coordinates; used to convert spectral data into certified bounds
     def le_euclid(self):
@@ -331,12 +340,6 @@ class NormedSpace:
         # every family here dominates the sup norm
         return math.sqrt(self.dim)
 
-    def dual_exact(self, y):
-        return self.space.dual_exact(self._check(y))
-
-    def dual_upper(self, y):
-        return self.space.dual_upper(self._check(y))
-
     def dual_upper_rows(self, m):
         """The family's dual_upper_rows, with the weights of this dimension."""
         return self.space._dual_upper_rows(np.asarray(self._check(m), dtype=float),
@@ -348,11 +351,8 @@ class NormedSpace:
     def __eq__(self, other):
         return isinstance(other, NormedSpace) and self.describe() == other.describe()
 
-    def __repr__(self):
-        return f"NormedSpace({self.describe()})"
 
-
-class SubspaceSpace:
+class SubspaceSpace(_Dimensioned):
     """Subspace of an ambient space given by a basis matrix.
 
     Coordinates live in R^dim; the norm of c is the ambient norm of
@@ -375,9 +375,7 @@ class SubspaceSpace:
             raise ValueError("basis matrix is (numerically) rank deficient")
         self._smax, self._smin = float(sv[0]), float(sv[-1])
         self._ambient_rows = ambient._row_kernel()  # built once, with the space
-
-    def norm(self, x):
-        return float(self.norm_rows(np.reshape(x, (1, -1)))[0])
+        self.is_quasi = ambient.is_quasi
 
     def norm_rows(self, m):
         return self._rows(np.asarray(m, dtype=float))
@@ -398,37 +396,11 @@ class SubspaceSpace:
         space, which may be far wider than the subspace."""
         return max(self.dim, self.ambient.row_width)
 
-    @property
-    def is_euclidean(self):
-        return False
-
-    @property
-    def is_l1(self):
-        return False
-
-    @property
-    def is_linf(self):
-        return False
-
-    @property
-    def is_quasi(self):
-        return self.ambient.is_quasi
-
-    @property
-    def has_exact_dual(self):
-        return False
-
     def le_euclid(self):
         return self.ambient.le_euclid() * self._smax
 
     def ge_euclid(self):
         return self.ambient.ge_euclid() / self._smin
-
-    def dual_exact(self, y):
-        return None
-
-    def dual_upper(self, y):
-        return float(self.dual_upper_rows(np.reshape(y, (1, -1)))[0])
 
     def dual_upper_rows(self, m):
         # <c, y> <= ||c||_2 ||y||_2 <= ge_euclid ||c||_X ||y||_2
@@ -436,9 +408,6 @@ class SubspaceSpace:
 
     def describe(self):
         return f"sub:{self.dim}<{self.ambient.describe()}"
-
-    def __repr__(self):
-        return f"SubspaceSpace({self.describe()})"
 
 
 # -- descriptor grammar ----------------------------------------------------

@@ -285,10 +285,10 @@ def suite_equal_norm(seed=0, budget=16, tol=0.0):
         wc = weak_cotype_g(T, g, budget=budget, seed=seed)
         res = equal_norm_inequality(np.eye(n), T, g, wc, rho=1.0, samples=50_000, seed=seed)
         rep.check(f"comparison-n{n}", res.holds and res.slack >= 100.0,
-                  measured=res.slack, bound=100.0, seed=seed, moment=2)
+                  measured=res.slack, bound=100.0, seed=seed, extra={"moment": 2})
         pre = equal_norm_premise_check(np.eye(n), T, g, samples=50_000, seed=seed)
         rep.check(f"implied-constant-n{n}", pre.accepted and pre.implied_constant < 1.2,
-                  measured=pre.implied_constant, bound=1.2, seed=seed, moment=2)
+                  measured=pre.implied_constant, bound=1.2, seed=seed, extra={"moment": 2})
     return rep
 
 

@@ -296,15 +296,17 @@ def test_fanned_out_averages_equal_one_thread(monkeypatch, n, dim):
 
 @pytest.mark.parametrize("n, dim", [(16, 32), (20, 32), (16, 300), (9, 4096)])
 def test_streamed_enumeration_mean_is_the_mean_of_the_norms(monkeypatch, n, dim):
-    # blocks of 8192, 8192 and 512 rows are summed block by block; those of
-    # 64 rows at 4096 coordinates are too short, and the norms are kept
-    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    # blocks of 8192, 8192 and 512 rows are summed block by block, on one
+    # thread as on two; those of 64 rows at 4096 coordinates are too
+    # short, and the norms are kept
     rng = np.random.default_rng(110 + n)
     sp = parse_space(f"lorentz:2:1:{dim}")
     config = rng.standard_normal((n, dim))
     vals = sign_norms(n, config, sp)
-    assert rademacher_average(config, sp, moment=1).value == float(np.mean(vals))
-    assert rademacher_average(config, sp, moment=2).value == math.sqrt(np.mean(vals**2))
+    for workers in (1, 2):
+        monkeypatch.setattr(linmaps, "_WORKERS", workers)
+        assert rademacher_average(config, sp, moment=1).value == float(np.mean(vals))
+        assert rademacher_average(config, sp, moment=2).value == math.sqrt(np.mean(vals**2))
 
 
 #: the package's modules whose public functions the benchmark's tracer wraps

@@ -154,6 +154,25 @@ def test_sample_counts_below_one_are_usage_errors(capsys, argv, samples):
     assert "--samples" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["summing", "cotype"])
+@pytest.mark.parametrize("n", ["0", "-2", "two"])
+def test_vector_counts_below_one_are_usage_errors(capsys, command, n):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--space", "lp:2:3", "--n", n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vectors", [[], ["--vec", "1,2,2", "--vec-file", "v.txt"]])
+def test_norm_takes_exactly_one_vector(capsys, vectors):
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "lp:2:3", *vectors])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--vec" in err and "--vec-file" in err and "Traceback" not in err
+
+
 def test_one_parser_serves_successive_calls(capsys, monkeypatch, tmp_path):
     report = tmp_path / "report.json"
     calls = [["summing", "--space", "lp:1.5:3", "--n", "2", "--budget", "2",

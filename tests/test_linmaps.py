@@ -9,8 +9,8 @@ from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identit
                        lorentz, lp, operator_norm, parse_space, rademacher_average,
                        weak_lq_functional)
 from banachkit import linmaps
-from banachkit.linmaps import (SIGN_BLOCK, operator_norms, sign_norms, sign_pattern,
-                               sign_patterns, sign_weights, weak_lq_upper)
+from banachkit.linmaps import (SIGN_BLOCK, _chunk_norms, operator_norms, sign_norms,
+                               sign_pattern, sign_patterns, sign_weights, weak_lq_upper)
 from banachkit.search import child_seeds, multistart_maximize, split_budget
 
 
@@ -198,6 +198,55 @@ def test_enumerated_witnesses_are_the_table_rows_of_the_maximum(n):
     assert np.array_equal(weak.witness["signs"], table[np.argmax(vals)])
 
 
+SIGN_MAX_SPACES = ("lp:1.5", "lorentz:3:2", "lorentz:2:inf", "gweak:pow:0.5", "subspace")
+
+
+def first_sign_max(n, config, sp):
+    """The first maximum over the rows of sign_patterns(n) @ config, and its row."""
+    table = sign_patterns(n)
+    vals = sp.norm_rows(table @ config)
+    i = int(np.argmax(vals))
+    return float(vals[i]), table[i]
+
+
+@pytest.mark.parametrize("n, dim", [(1, 3), (3, 3), (9, 40), (14, 40)])
+def test_sign_max_is_the_first_maximum_of_the_sign_norms(n, dim):
+    # (14, 40): 8192 patterns in blocks of 4096 rows, so each configuration
+    # of a stack takes the one-configuration path; the others share blocks
+    rng = np.random.default_rng(130 + n)
+    for name in SIGN_MAX_SPACES:
+        sp = _enum_space(name, dim, rng)
+        stack = rng.standard_normal((5, n, dim))
+        stack[1, -1] = 0.0  # ties: each pattern and its last sign flipped
+        found = linmaps._sign_max(n, stack, sp)
+        assert len(found) == len(stack)
+        for config, (value, signs) in zip(stack, found):
+            ref_value, ref_signs = first_sign_max(n, config, sp)
+            assert value == ref_value and np.array_equal(signs, ref_signs)
+            assert signs.dtype == np.float64 and type(value) is float
+            one_value, one_signs = linmaps._sign_max(n, config, sp)
+            assert one_value == value and np.array_equal(one_signs, signs)
+
+
+@pytest.mark.parametrize("cod", ["lp:3", "lorentz:2:1", "gweak:pow:0.5", "subspace"])
+def test_enumeration_route_equals_a_loop_of_operator_norm(cod):
+    rng = np.random.default_rng(140)
+    for N, n in ((3, 4), (9, 6), (15, 40)):
+        dom = space(math.inf, N)
+        cod_n = _enum_space(cod, n, rng)
+        stack = rng.standard_normal((6, n, N))
+        got = operator_norms(stack, dom, cod_n, seeds=range(6))
+        for A, seed, est in zip(stack, range(6), got):
+            ref = operator_norm(LinearMap(A, dom, cod_n), seed=seed)
+            assert est.meta["route"] == "enumeration"
+            assert same_estimate(est, ref)
+            # the one-map enumeration of each map's columns, as the route took it
+            vals = sign_norms(N, A.T, cod_n)
+            j = int(np.argmax(vals))
+            assert est.value == vals[j]
+            assert est.witness.tobytes() == sign_pattern(N, j).tobytes()
+
+
 FAN_OUT_SPACES = ("lp:3", "lorentz:3:2", "gweak:pow:0.5", "subspace")
 
 
@@ -282,7 +331,7 @@ def test_weight_tables_join_a_one_row_tail_to_the_block_before():
         block[...] = table[sum(calls):sum(calls) + len(block)]
         calls.append(len(block))
 
-    drawn = sign_norms(draw, config, sp, count=4097)
+    drawn = _chunk_norms([draw], [4097], config, sp, np.copy)[0]
     assert calls == [4097]
     assert drawn.tobytes() == sign_norms(table, config, sp).tobytes()
     assert drawn.tobytes() == sp.norm_rows(table @ config).tobytes()

@@ -175,17 +175,27 @@ def test_descriptor_grammar(tmp_path):
                 parse_space(bad)
 
 
+EUCLIDEAN = {"lp:2:3", "lorentz:2:2:3"}
+QUASI = {"lorentz:2:inf:3", "gweak:pow:0.5:3"}
+
+
 @pytest.mark.parametrize("descriptor, l1, linf", [
     ("lp:1:3", True, False), ("lp:inf:3", False, True), ("lp:2:3", False, False),
     ("lp:1.5:3", False, False), ("lorentz:2:1:3", False, False),
-    ("lorentz:2:inf:3", False, False), ("gweak:pow:0.5:3", False, False),
+    ("lorentz:2:2:3", False, False), ("lorentz:2:inf:3", False, False),
+    ("gweak:pow:0.5:3", False, False),
 ])
 def test_l1_and_linf_capabilities(descriptor, l1, linf):
     X = parse_space(descriptor)
+    quasi = descriptor in QUASI
     assert (X.is_l1, X.is_linf) == (l1, linf)
-    # a subspace keeps neither the extreme points nor the coordinate functionals
+    assert (X.is_euclidean, X.is_quasi) == (descriptor in EUCLIDEAN, quasi)
+    assert repr(X) == f"NormedSpace({descriptor})"
+    # a subspace keeps neither the extreme points nor the coordinate
+    # functionals, nor a Euclidean norm; it is as quasi as its ambient space
     sub = SubspaceSpace(np.eye(3)[:, :2], X)
-    assert (sub.is_l1, sub.is_linf) == (False, False)
+    assert (sub.is_l1, sub.is_linf, sub.is_euclidean, sub.is_quasi) == (False, False, False, quasi)
+    assert repr(sub) == f"SubspaceSpace(sub:2<{descriptor})"
 
 
 @pytest.mark.parametrize("descriptor, exact_dual", [
