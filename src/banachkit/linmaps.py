@@ -3,11 +3,14 @@
 Operator norms are exact where a closed form exists (Euclidean to
 Euclidean, out of l_1, into l_inf, out of a small l_inf cube) and are
 otherwise reported as witnessed lower bounds with a companion upper
-bound from Euclidean comparison constants; meta["route"] names the
-route (see operator_norm). Out of a larger l_inf cube the lower bound
-comes from single-flip ascent over the cube's vertices, everywhere else
-from the sphere search of search.multistart_maximize. Both score whole
-blocks of proposals through norm_rows. Every route lives in
+bound from Euclidean comparison constants, rounded outward so that it
+bounds the computed value too; meta["route"] names the route (see
+operator_norm). Out of a larger l_inf cube the lower bound comes from
+single-flip ascent over the cube's vertices, everywhere else from the
+sphere search of search.multistart_maximize. Both score whole blocks of
+proposals through norm_rows; into a Euclidean codomain the ascent first
+screens its flips by inner products, and only the flips near the best
+reach norm_rows (see _vertex_ascents). Every route lives in
 operator_norms, which takes a stack of maps at once where the route
 allows (the cube ascents climb in lockstep); operator_norm is its
 one-map call.
@@ -490,6 +493,11 @@ def _on_sphere(space):
     return lambda P: _scaled_rows(P, space.norm_rows(P))
 
 
+#: the screen of _vertex_ascents keeps every flip whose screened square is
+#: within SCREEN_ULPS (n + 2) eps (||y|| + max_j ||f_j||)^2 of the best
+SCREEN_ULPS = 64
+
+
 def _vertex_ascents(A, cod, budget, seeds, vt=None):
     """Best vertex of the sign cube for x -> cod.norm(A_i @ x), for each
     map of a (k, n, N) stack, by single-flip ascent; (value, witness) pairs.
@@ -498,17 +506,36 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     Starts of map i: the sign of the top right singular vector of A_i,
     the all-ones vector and split_budget(budget)[0] random sign vectors
     seeded from seeds[i]. Each step, every active start of every map
-    scores all its flips y - 2 eps_j A_i[:, j] through norm_rows and takes
-    the best if it gains more than a relative 1e-12, else stops; every
-    norm_rows block holds at most ASCENT_BLOCK entries. The images
-    E_i @ A_i.T are recomputed from the active starts, one stacked product
-    per count of active starts, so each has the rows of the one-map ascent
-    (numpy sends one row to gemv, which rounds unlike gemm) and each map
-    climbs bit for bit as alone. The final vertices of every map are
-    re-read from their gemv images a @ e, as the scalar norm of a @ e reads
-    them: through norm_rows in the same blocks, or one by one into a
-    subspace, whose rows of a block may round apart from a lone row. The
-    first maximum wins.
+    scores its flips y - eps_j f_j, f_j = 2 A_i[:, j], and takes the best
+    if it gains more than a relative 1e-12, else stops. Every flip it
+    scores is formed as -eps_j f_j + y and goes through norm_rows, in
+    blocks of at most ASCENT_BLOCK entries.
+
+    Into a codomain with is_euclidean (a NormedSpace, which reads each
+    row of a block as alone) only the flips near the best are scored;
+    the others are screened out by the identity
+    ||y - eps_j f_j||^2 = ||y||^2 + d_j, d_j = ||f_j||^2 - 2 eps_j <y, f_j>,
+    with one stacked product Y @ F^T per step and the ||f_j||^2 taken
+    once. A screened-out flip scores -inf. With F = max_j ||f_j||, each
+    computed d_j is within gamma_(n+1) (||y|| + F)^2 of d_j, and norm_rows
+    reads ||x|| within a relative gamma_(n+2) (Higham, ch. 3: the row and
+    its squares round once each, the sum by gamma_(n-1), the root once;
+    gamma_m = m u / (1 - m u), u = eps / 2). So a flip whose d_j lies
+    more than 6 gamma_(n+2) (||y|| + F)^2 below the largest scores
+    strictly below that flip's norm_rows value, and the argmax, the gain
+    test and the first maximum pick the flip that scoring every flip
+    picks, bit for bit. The screen keeps every flip within SCREEN_ULPS
+    (n + 2) eps (||y|| + F)^2 of the largest d_j, about twenty times
+    that, which also covers the rounding of ||y|| and F themselves.
+
+    The images E_i @ A_i.T are recomputed from the active starts, one
+    stacked product per count of active starts, so each has the rows of
+    the one-map ascent (numpy sends one row to gemv, which rounds unlike
+    gemm) and each map climbs bit for bit as alone. The final vertices of
+    every map are re-read from their gemv images a @ e, as the scalar
+    norm of a @ e reads them: through norm_rows in the same blocks, or
+    one by one into a subspace, whose rows of a block may round apart
+    from a lone row. The first maximum wins.
     """
     k, n, N = A.shape
     top = (np.linalg.svd(A, full_matrices=False)[2] if vt is None else vt)[:, 0]
@@ -530,9 +557,9 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     score = norms(Y)
     # row j of map i: what flipping entry j moves y by; C order keeps gathers contiguous
     flips = np.multiply(2.0, A.transpose(0, 2, 1), order="C")
-    active = np.ones(score.shape, dtype=bool)
-    while active.any():
-        mi, si = np.nonzero(active)
+
+    def every_flip(mi, si):
+        """The norm_rows value of every flip of each active start."""
         vals = np.empty((mi.size, N))
         for p in range(0, mi.size, pairs):
             m, t = mi[p:p + pairs], si[p:p + pairs]
@@ -542,6 +569,39 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
                 block += Y[m, t, None]
                 vals[p:p + m.size, j:j + step] = cod.norm_rows(
                     block.reshape(-1, n)).reshape(m.size, -1)
+        return vals
+
+    def screened_flips(mi, si):
+        """every_flip of the flips the screen keeps, -inf elsewhere."""
+        live = np.unique(mi)
+        whole = live.size == k  # no gather of the maps
+        dots = np.matmul(Y if whole else Y[live],
+                         (flips if whole else flips[live]).transpose(0, 2, 1))  # <y, f_j>
+        y, eps = Y[mi, si], E[mi, si]
+        d = sq[mi] - 2.0 * eps * dots[np.searchsorted(live, mi), si]
+        reach = np.sqrt(np.einsum("pn,pn->p", y, y)) + far[mi]
+        keep = d >= (d.max(axis=1) - tol * reach * reach)[:, None]
+        p, j = np.nonzero(keep)
+        vals = np.full((mi.size, N), -np.inf)
+        for b in range(0, p.size, rows):
+            pb, jb = p[b:b + rows], j[b:b + rows]
+            block = flips[mi[pb], jb]
+            block *= -eps[pb, jb, None]
+            block += y[pb]
+            vals[pb, jb] = cod.norm_rows(block)
+        return vals
+
+    if cod.is_euclidean:
+        sq = np.einsum("kjn,kjn->kj", flips, flips)  # ||f_j||^2
+        far = np.sqrt(sq.max(axis=1))
+        tol = SCREEN_ULPS * (n + 2) * np.finfo(float).eps
+        flip_values = screened_flips
+    else:
+        flip_values = every_flip
+    active = np.ones(score.shape, dtype=bool)
+    while active.any():
+        mi, si = np.nonzero(active)
+        vals = flip_values(mi, si)
         arg = np.argmax(vals, axis=1)
         best = vals[np.arange(mi.size), arg]
         gain = best > score[mi, si] * (1.0 + 1e-12)
@@ -552,8 +612,10 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
         count = active.sum(axis=1)
         for r in np.unique(count[count > 0]):
             mi, si = np.nonzero(active & (count == r)[:, None])
+            maps = mi[::r]  # all k maps: A itself, no copy of the stack
             Y[mi, si] = np.matmul(E[mi, si].reshape(-1, r, N),
-                                  A[mi[::r]].transpose(0, 2, 1)).reshape(-1, n)
+                                  (A if maps.size == k else A[maps]).transpose(0, 2, 1)
+                                  ).reshape(-1, n)
     # one gemv image per final vertex, as the scalar norm of a @ e forms it
     images = np.array([[a @ e for e in final] for a, final in zip(A, E)])
     values = (norms(images) if cod._rows_alone
@@ -599,7 +661,9 @@ def operator_norm(T, budget=32, seed=0):
         codomain an interior point can beat every vertex, so out of a
         large l_inf cube the best vertex of the ascent is one more start.
     The lower routes carry the comparison-constant upper bound
-    le_euclid(Y) smax(A) ge_euclid(X) in meta["upper"].
+    le_euclid(Y) smax(A) ge_euclid(X) in meta["upper"], rounded outward
+    by a stated bound on the rounding of both ends (_outward), so the
+    value never exceeds it.
     """
     return operator_norms(T.matrix[None], T.domain, T.codomain, budget, seeds=[seed])[0]
 
@@ -657,7 +721,7 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
                  else _searches(A, domain, codomain, budget, seeds, vt))
         le, ge = codomain.le_euclid(), domain.ge_euclid()
         ests = [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
-                         meta={"upper": float(le * smax * ge), "route": route})
+                         meta={"upper": _outward(le * smax * ge, *A.shape[1:]), "route": route})
                 for (v, w), seed, smax in zip(found, seeds, s[:, 0])]
     else:
         ests = [Estimate(float(v), EXACT, witness=w, budget=0, seed=seed, meta={"route": route})
@@ -665,6 +729,26 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
     for i, est in zip(live, ests):
         out[i] = est
     return out
+
+
+def _outward(upper, n, N):
+    """The comparison bound le smax ge of an n x N map, rounded outward by
+    a factor 1 + rho, so that it bounds the value a lower route computes,
+    not only the exact norm. With u = eps / 2 and gamma_m = m u / (1 - m u)
+    (Higham, ch. 3), rho is at least twice the sum of:
+      - 4 max(n, N) u: LAPACK's largest singular value, relative (a
+        modest multiple of max(n, N) u, by backward stability and Weyl);
+      - 4 u: le, ge and their two products, rounded once each;
+      - gamma_N sqrt(min(n, N)): the value is a norm of fl(A x) =
+        (A + dA) x with |dA| <= gamma_N |A|, and ||dA x||_Y <= le ||dA||_F
+        ||x||_2 <= gamma_N ||A||_F le ge ||x||_X;
+      - gamma_(n+4) and gamma_(N+4): norm_rows reads a norm of either
+        space within them (a search witness is scaled onto the domain's
+        sphere by one).
+    """
+    u = np.finfo(float).eps / 2
+    rho = 2.0 * (4 * max(n, N) + N * math.sqrt(min(n, N)) + n + N + 16) * u
+    return float(upper * (1.0 + rho))
 
 
 def _exact_norms(route, A, dom, cod):
@@ -755,12 +839,15 @@ def dual_norm(space, functional, budget=32, seed=0):
                     meta={"upper": space.dual_upper(y)})
 
 
-def weak_lq_upper(config, space, q):
+def weak_lq_upper(config, space, q, signs=None):
     """Certified upper bound on sup over the dual unit ball of the
     weak l_q moment of a configuration.
 
     config is one (n, dim) configuration, or a (k, n, dim) stack of
     them with one bound each; the vector norms come from norm_rows.
+    signs is what the sign sup hands sign_norms: by default n, or
+    sign_weights(n, dim, space)[0], a table that calls on configurations
+    of one shape share, with the same bound bit for bit.
     """
     config = np.asarray(config, dtype=float)
     stacked = config.ndim == 3
@@ -777,7 +864,7 @@ def weak_lq_upper(config, space, q):
         if n <= ENUM_CAP:
             # weak-1 moment equals the sign sup of the configuration, and
             # dominates every weak-q moment for q >= 1
-            bounds.append(sign_norms(n, config, space).max(axis=-1))
+            bounds.append(sign_norms(n if signs is None else signs, config, space).max(axis=-1))
         bound = np.minimum.reduce(bounds, axis=0)
     return bound if stacked else float(bound)
 

@@ -56,9 +56,38 @@ MAX_PROPOSALS = 48
 SCREEN_SLACK = 1e-12
 
 
+#: the hash constants of numpy's SeedSequence, which child_seeds follows
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK = 0xFFFFFFFF
+
+
 def child_seeds(master, n):
-    """Derive n independent integer seeds from a master seed."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(master).spawn(n)]
+    """Derive n independent integer seeds from a non-negative int master:
+    [int(s.generate_state(1)[0]) for s in SeedSequence(master).spawn(n)],
+    without building the n children.
+
+    Child i hashes the master's entropy words, padded with zeros to its
+    pool of four words, and then the spawn word i into the pool. The pool
+    of SeedSequence(master) is the child's pool before the spawn word, by
+    then the hash constant has advanced 16 + 4 max(0, words - 4) times,
+    and generate_state(1) reads only the pool's first word. So a child
+    seed is that word mixed with the hash of i alone.
+    """
+    seq = np.random.SeedSequence(master)
+    words = max(1, -(-int(seq.entropy).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK
+    mult, out_mult = const * _MULT_A & _MASK, _INIT_B * _MULT_B & _MASK
+    first = _MIX_L * int(seq.pool[0])
+    seeds = []
+    for i in range(n):
+        # SeedSequence's hashmix of the spawn word, its mix into the first
+        # pool word, then the first word of generate_state
+        h = (i ^ const) * mult & _MASK
+        w = first - _MIX_R * (h ^ h >> 16) & _MASK
+        s = (w ^ w >> 16 ^ _INIT_B) * out_mult & _MASK
+        seeds.append(s ^ s >> 16)
+    return seeds
 
 
 def split_budget(budget):

@@ -75,13 +75,14 @@ def _summing_search(T, q, n, numerator_rows, budget, seed):
     2-d array of image norms."""
     dom, cod = T.domain, T.codomain
     A = np.asarray(T.matrix, dtype=float)
+    signs = sign_weights(n, dom.dim, dom)[0]  # the sign table, built once
 
     def score(C):
         norms = cod.norm_rows(C.reshape(-1, dom.dim) @ A.T).reshape(-1, n)
-        return numerator_rows(norms) / weak_lq_upper(C, dom, q)
+        return numerator_rows(norms) / weak_lq_upper(C, dom, q, signs)
 
     val, wit = _config_search(score, dom, n, budget, seed)
-    return val, wit / weak_lq_upper(wit, dom, q)
+    return val, wit / weak_lq_upper(wit, dom, q, signs)
 
 
 def pi_pq_n(T, p, q, n, budget=32, seed=0):

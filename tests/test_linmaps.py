@@ -12,6 +12,7 @@ from banachkit import linmaps
 from banachkit.linmaps import (SIGN_BLOCK, _chunk_norms, operator_norms, sign_norms,
                                sign_pattern, sign_patterns, sign_weights, weak_lq_upper)
 from banachkit.search import child_seeds, multistart_maximize, split_budget
+from banachkit.summing import pi_pq_n
 
 
 def space(p, n):
@@ -460,7 +461,9 @@ def test_cube_past_the_cap_takes_one_svd(cod, monkeypatch):
     est = operator_norm(LinearMap(A, dom, parse_space(cod)), budget=8)
     assert len(calls) == 1
     smax = svd(A, full_matrices=False)[1][0]
-    assert est.meta["upper"] == parse_space(cod).le_euclid() * smax * dom.ge_euclid()
+    # rounded outward by the stated bound
+    assert est.meta["upper"] == linmaps._outward(
+        parse_space(cod).le_euclid() * smax * dom.ge_euclid(), 16, 32)
 
 
 @pytest.mark.parametrize("cod", ["lp:2:16", "lp:3:16", "lp:1:16", "lorentz:3:2:16"])
@@ -575,7 +578,7 @@ def one_map_vertex_ascent(A, cod, budget, seed):
     return values[i], final[i]
 
 
-ASCENT_CODOMAINS = ["lp:2", "lp:3", "lp:1", "lp:1.5", "lorentz:3:2", "lorentz:2:1"]
+ASCENT_CODOMAINS = ["lp:2", "lp:3", "lp:1", "lp:1.5", "lorentz:3:2", "lorentz:2:1", "lorentz:2:2"]
 ASCENT_SHAPES = [(21, 5), (32, 16), (64, 8), (40, 40)]  # (N, n)
 
 
@@ -603,20 +606,92 @@ def test_operator_norms_equal_a_loop_of_operator_norm(cod, N, n):
             assert est.witness.base is None  # not a view of the stack's vertices
 
 
+def tie_heavy_stack(rng, n, N):
+    """Maps whose flips tie exactly or nearly: rank-one maps, repeated and
+    zero columns, small-integer entries and the zero map."""
+    u, v = rng.standard_normal(n), rng.standard_normal(N)
+    cols = rng.standard_normal((n, 3))
+    # flips of columns 0 and 1 undo each other, and the image is nearly
+    # orthogonal to them: their norms tie exactly, the screen reads them
+    # apart, and only the first may win
+    pair = np.zeros((n, N))
+    pair[0, :3] = 1.0, -1.0, 1e-10
+    pair[1, 3:] = 1e4 * (1.0 + rng.random(N - 3))
+    maps = [np.outer(u, np.ones(N)),  # every flip of a vertex ties
+            np.outer(u, v),
+            np.outer(rng.integers(-2, 3, n), rng.integers(-2, 3, N)).astype(float),
+            cols[:, rng.integers(0, 3, N)],  # three distinct columns
+            # and the same a few ulps apart: their flips tie up to rounding
+            cols[:, rng.integers(0, 3, N)] * (1.0 + 2.0**-52 * rng.integers(-4, 5, N)),
+            rng.standard_normal((n, N)) * (rng.random(N) < 0.5),  # zero columns
+            rng.integers(-2, 3, (n, N)).astype(float),
+            rng.integers(-1, 2, (n, N)).astype(float),
+            pair,
+            np.zeros((n, N))]
+    return np.array(maps)
+
+
 @pytest.mark.parametrize("cod", ASCENT_CODOMAINS)
 @pytest.mark.parametrize("N, n", ASCENT_SHAPES)
 def test_stacked_vertex_ascent_equals_the_one_map_loop(cod, N, n):
+    # into a Euclidean codomain only the flips near the screened best are
+    # scored; ties must still resolve to the first maximum of every flip
     cod = parse_space(f"{cod}:{n}")
-    rng = np.random.default_rng(7 * N + n)
+    rng, ties = np.random.default_rng(7 * N + n), np.random.default_rng(11 * N + n)
     for budget in (0, 16, 32):
-        stack = rng.standard_normal((12, n, N))
-        seeds = list(range(budget, budget + 12))
-        got = linmaps._vertex_ascents(stack, cod, budget, seeds)
-        assert len(got) == 12
-        for A, seed, (value, witness) in zip(stack, seeds, got):
-            ref_value, ref_witness = one_map_vertex_ascent(A, cod, budget, seed)
-            assert value == ref_value
-            assert witness.tobytes() == ref_witness.tobytes()
+        for stack in (rng.standard_normal((12, n, N)), tie_heavy_stack(ties, n, N)):
+            seeds = list(range(budget, budget + len(stack)))
+            got = linmaps._vertex_ascents(stack, cod, budget, seeds)
+            assert len(got) == len(stack)
+            for A, seed, (value, witness) in zip(stack, seeds, got):
+                ref_value, ref_witness = one_map_vertex_ascent(A, cod, budget, seed)
+                assert value == ref_value
+                assert witness.tobytes() == ref_witness.tobytes()
+
+
+@pytest.mark.parametrize("cod", ["lp:2:12", "lorentz:2:2:12"])
+def test_screened_vertex_ascent_scores_few_flips_per_step(cod):
+    # today each step of an active start scores all N flips through
+    # norm_rows; into a Euclidean codomain it scores only those near the best
+    k, N, budget = 3, 64, 16
+    cod = parse_space(cod)
+    starts = 2 + split_budget(budget)[0]
+    stack = np.random.default_rng(21).standard_normal((k, cod.dim, N))
+    calls = []
+
+    def recording(m):
+        calls.append(len(m))
+        return type(cod).norm_rows(cod, m)
+
+    cod.norm_rows = recording
+    got = operator_norms(stack, parse_space(f"lp:inf:{N}"), cod, budget=budget, seeds=range(k))
+    assert [est.meta["route"] for est in got] == ["vertex-ascent"] * k
+    # the first call scores the starts and the last re-reads the final
+    # vertices, one row each; every step between scores about one row per
+    # active start, never more than two
+    assert calls[0] == calls[-1] == k * starts
+    steps = calls[1:-1]
+    assert len(steps) >= 10
+    assert max(steps) <= 2 * k * starts
+    assert sum(steps) <= 1.25 * k * starts * len(steps)
+
+
+def test_rank_one_cube_maps_stay_under_their_upper_end():
+    # u 1^T attains le smax ge exactly, so only the outward rounding of
+    # meta["upper"] keeps the computed value below it
+    count = 0
+    for N in (24, 32, 40):
+        for M in (3, 8, 16):
+            rng = np.random.default_rng(1000 * N + M)
+            dom, cod = parse_space(f"lp:inf:{N}"), parse_space(f"lp:2:{M}")
+            for seed in range(40):
+                A = np.outer(rng.standard_normal(M), np.ones(N))
+                est = operator_norm(LinearMap(A, dom, cod), budget=16, seed=seed)
+                assert (est.meta["route"], est.direction) == ("vertex-ascent", "lower")
+                assert est.value <= est.meta["upper"]
+                assert est.meta["upper"] <= est.value * (1.0 + 1e-12)
+                count += 1
+    assert count == 360
 
 
 def test_operator_norms_off_the_ascent_route_is_a_loop():
@@ -805,6 +880,33 @@ def test_a_shared_sign_table_equals_the_streamed_one(n, dim):
             for config in (stack, stack[0]):
                 assert sign_norms(signs, config, sp).tobytes() == \
                     sign_norms(n, config, sp, scale=scale).tobytes()
+
+
+@pytest.mark.parametrize("n, dim", [(5, 6), (12, 8), (16, 40)])
+def test_weak_lq_upper_with_a_shared_table_equals_the_table_free_call(n, dim):
+    # (16, 40) streams its table: sign_weights hands back n itself
+    rng = np.random.default_rng(70 + n)
+    for sp in (parse_space(f"lorentz:3:2:{dim}"), parse_space(f"lp:1.5:{dim}")):
+        signs = sign_weights(n, dim, sp)[0]
+        assert isinstance(signs, int) == (n == 16)
+        for config in (rng.standard_normal((n, dim)), rng.standard_normal((4, n, dim))):
+            for q in (1.0, 1.5, 3.0):
+                want = np.asarray(weak_lq_upper(config, sp, q))
+                got = np.asarray(weak_lq_upper(config, sp, q, signs))
+                assert got.tobytes() == want.tobytes()
+
+
+def test_summing_search_builds_its_sign_table_once(monkeypatch):
+    built = []
+    patterns = linmaps.sign_patterns
+
+    def counting(n):
+        built.append(n)
+        return patterns(n)
+
+    monkeypatch.setattr(linmaps, "sign_patterns", counting)
+    pi_pq_n(identity_map(parse_space("lp:3:4")), 2, 1, 5, budget=16, seed=2)
+    assert built == [5]
 
 
 def test_vertex_ascent_into_a_subspace_reads_each_vertex_alone():

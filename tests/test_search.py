@@ -93,6 +93,24 @@ def assert_same_estimate(new, ref):
     assert np.array_equal(new.witness, ref.witness)
 
 
+SEED_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 77]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 200])
+def test_child_seeds_equal_the_spawned_seed_sequences(n):
+    # child_seeds hashes only the spawn word into the master's pool; masters
+    # of more than four words mix extra words before it
+    rng = np.random.default_rng(60 + n)
+    # random masters of 8 to 200 bits, the top bit set
+    masters = SEED_MASTERS + [int.from_bytes(rng.bytes(25), "little") % (1 << int(bits))
+                              | 1 << int(bits) - 1 for bits in rng.integers(8, 201, 12)]
+    for master in masters:
+        want = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(master).spawn(n)]
+        got = child_seeds(master, n)
+        assert got == want, master
+        assert all(type(s) is int for s in got)
+
+
 @pytest.mark.parametrize("dim", [2, 5, 12, 32])
 def test_operator_norm_search_matches_the_scalar_reference(dim, monkeypatch):
     rng = np.random.default_rng(100 + dim)
@@ -135,10 +153,12 @@ def test_budget_zero_operator_norms_match_the_scalar_reference(dim):
                     structured=[*np.eye(dim), np.ones(dim), *vertex], budget=0, seed=seed,
                     project=lambda x: x / dom.norm(x))
                 assert est.value == val and est.witness.tobytes() == wit.tobytes()
-                # out of a cube the bound reads the svd that starts the vertex ascent
+                # out of a cube the bound reads the svd that starts the vertex
+                # ascent; it is rounded outward by the stated bound
                 smax = float(np.linalg.svd(A, full_matrices=False)[1][0] if dom.is_linf
                              else np.linalg.svd(A, compute_uv=False)[0])
-                assert est.meta["upper"] == cod.le_euclid() * smax * dom.ge_euclid()
+                assert est.meta["upper"] == linmaps._outward(
+                    cod.le_euclid() * smax * dom.ge_euclid(), 7, dim)
     assert searched >= 12
 
 
