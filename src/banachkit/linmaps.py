@@ -4,16 +4,17 @@ Operator norms are exact where a closed form exists (Euclidean to
 Euclidean, out of l_1, into l_inf, out of a small l_inf cube) and are
 otherwise reported as witnessed lower bounds with a companion upper
 bound from Euclidean comparison constants, rounded outward so that it
-bounds the computed value too; meta["route"] names the route (see
-operator_norm). Out of a larger l_inf cube the lower bound comes from
-single-flip ascent over the cube's vertices, everywhere else from the
-sphere search of search.multistart_maximize. Both score whole blocks of
-proposals through norm_rows; into a Euclidean codomain the ascent first
-screens its flips by inner products, and only the flips near the best
-reach norm_rows (see _vertex_ascents). Every route lives in
-operator_norms, which takes a stack of maps at once where the route
-allows (the cube ascents climb in lockstep); operator_norm is its
-one-map call.
+bounds the computed value too; meta["route"] names the route. The
+routes are listed once, as the rows of _ROUTES. Out of a larger l_inf
+cube the lower bound comes from single-flip ascent over the cube's
+vertices, everywhere else from the sphere search of
+search.multistart_maximize. Both score whole blocks of proposals
+through norm_rows; into a Euclidean codomain the ascent first screens
+its flips by inner products, and only the flips near the best reach
+norm_rows (see _vertex_ascents). operator_norms takes a stack of maps
+at once by the first row of _ROUTES that applies (the cube ascents
+climb in lockstep, the l_1 columns of every map go through one
+norm_rows); operator_norm is its one-map call.
 
 Every sign enumeration and Monte Carlo average of the package forms
 the product of a weight table and a configuration in row blocks of at
@@ -625,73 +626,26 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     return [(float(v[i]), final[i].copy()) for v, final, i in zip(values, E, best)]
 
 
-def _route(dom, cod):
-    """The route of operator_norm for a nonzero map dom -> cod."""
-    if dom.is_euclidean and cod.is_euclidean:
-        return "svd"
-    if dom.is_l1:
-        return "l1-columns"
-    if cod.is_linf and dom.has_exact_dual:
-        return "linf-rows"
-    if dom.is_linf and dom.dim <= ENUM_CAP:
-        return "enumeration"
-    if dom.is_linf and not cod.is_quasi:
-        return "vertex-ascent"
-    return "search"
-
-
 def operator_norm(T, budget=32, seed=0):
-    """Operator norm of T, exact on the closed-form routes: operator_norms
-    of the one map T.
+    """Operator norm of T: operator_norms of the one map T.
 
-    meta["route"] names the route that produced the value:
-      - "zero": the zero map, exact.
-      - "svd": Euclidean to Euclidean, the largest singular value, exact.
-      - "l1-columns": domain l_1, the largest column norm, exact.
-      - "linf-rows": codomain l_inf and a domain with a closed-form dual
-        norm, the largest dual norm of a row, exact.
-      - "enumeration": domain l_inf with at most ENUM_CAP coordinates,
-        every vertex of the cube, exact.
-      - "vertex-ascent": a larger l_inf domain and a normed codomain,
-        single-flip ascent over the cube's vertices, a witnessed lower
-        bound: a convex norm of A x peaks at a vertex.
-      - "search": everything else, the sphere search of
-        search.multistart_maximize from the coordinate vectors and the
-        all-ones vector, a witnessed lower bound. On a quasi-normed
-        codomain an interior point can beat every vertex, so out of a
-        large l_inf cube the best vertex of the ascent is one more start.
-    The lower routes carry the comparison-constant upper bound
-    le_euclid(Y) smax(A) ge_euclid(X) in meta["upper"], rounded outward
-    by a stated bound on the rounding of both ends (_outward), so the
-    value never exceeds it.
+    meta["route"] names the route that produced the value: "zero" for the
+    zero map, exact, else a row of _ROUTES. The lower routes carry the
+    comparison-constant upper bound le_euclid(Y) smax(A) ge_euclid(X) in
+    meta["upper"], rounded outward by a stated bound on the rounding of
+    both ends (_outward), so the value never exceeds it.
     """
     return operator_norms(T.matrix[None], T.domain, T.codomain, budget, seeds=[seed])[0]
 
 
 def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
     """operator_norm of each map of a (k, n, N) stack with its own seed;
-    the routes of operator_norm live here, and every estimate equals the
-    one-map call bit for bit.
+    every estimate equals the one-map call bit for bit.
 
-    Zero maps take the zero route one by one; the others share one route
-    (_route) and are taken as a stack where the route allows:
-      - "svd": one full svd per chunk of maps whose factors hold at most
-        ASCENT_BLOCK entries;
-      - "linf-rows": one dual_upper_rows over the rows of every map;
-      - "enumeration": one _sign_max over the stack, each map's columns
-        one configuration;
-      - "vertex-ascent": the maps climb in lockstep in one _vertex_ascents
-        call, and the largest singular values of the stacked svd that
-        starts the ascents give meta["upper"];
-      - "search": meta["upper"] comes from one stacked svd; out of a large
-        cube the vertex starts come from one _vertex_ascents call, which
-        starts from the right singular vectors of the same svd. At
-        budget 0 (structured starts only: no random start, no polish)
-        one norm_rows call scores the starts of a chunk of maps, about
-        ASCENT_BLOCK entries, and each map re-reads its best starts with
-        its one-row objective (search.best_start); at a larger budget each
-        map runs its own multistart_maximize.
-    "l1-columns" is a loop over the maps.
+    Zero maps take the zero route one by one; the others are taken as one
+    stack by the first row of _ROUTES that applies. A lower row reads
+    meta["upper"] off one stacked svd, whose right singular vectors start
+    the cube ascents out of an l_inf domain.
     """
     A = np.asarray(matrices, dtype=float)
     seeds = list(seeds)
@@ -711,23 +665,22 @@ def operator_norms(matrices, domain, codomain, budget=32, *, seeds):
         return out
     if live.size < len(A):
         A, seeds = A[live], [seeds[i] for i in live]
-    route = _route(domain, codomain)
-    if route in ("vertex-ascent", "search"):
+    route, tag, norms = next((name, tag, norms) for name, tag, applies, norms in _ROUTES
+                             if applies(domain, codomain))
+    vt = None
+    if tag == LOWER:
         if domain.is_linf:  # the cube ascents start from the top right singular vectors
             s, vt = np.linalg.svd(A, full_matrices=False)[1:]
         else:
-            s, vt = np.linalg.svd(A, compute_uv=False), None
-        found = (_vertex_ascents(A, codomain, budget, seeds, vt) if route == "vertex-ascent"
-                 else _searches(A, domain, codomain, budget, seeds, vt))
+            s = np.linalg.svd(A, compute_uv=False)
         le, ge = codomain.le_euclid(), domain.ge_euclid()
-        ests = [Estimate(float(v), LOWER, witness=w, budget=budget, seed=seed,
-                         meta={"upper": _outward(le * smax * ge, *A.shape[1:]), "route": route})
-                for (v, w), seed, smax in zip(found, seeds, s[:, 0])]
-    else:
-        ests = [Estimate(float(v), EXACT, witness=w, budget=0, seed=seed, meta={"route": route})
-                for (v, w), seed in zip(_exact_norms(route, A, domain, codomain), seeds)]
-    for i, est in zip(live, ests):
-        out[i] = est
+        metas = [{"upper": _outward(le * smax * ge, *A.shape[1:]), "route": route}
+                 for smax in s[:, 0]]
+    else:  # an exact row spends no budget
+        budget, metas = 0, [{"route": route} for _ in seeds]
+    found = norms(A, domain, codomain, budget, seeds, vt)
+    for i, (v, w), seed, meta in zip(live, found, seeds, metas):
+        out[i] = Estimate(float(v), tag, witness=w, budget=budget, seed=seed, meta=meta)
     return out
 
 
@@ -751,25 +704,34 @@ def _outward(upper, n, N):
     return float(upper * (1.0 + rho))
 
 
-def _exact_norms(route, A, dom, cod):
-    """(value, witness) of every map of the stack A on an exact route."""
-    if route == "svd":  # full svds, in chunks whose factors hold <= ASCENT_BLOCK entries
-        step = max(1, ASCENT_BLOCK // max(A.shape[1:]) ** 2)
-        return [(s[0], v[0].copy()) for i in range(0, len(A), step)
-                for s, v in zip(*np.linalg.svd(A[i:i + step])[1:])]
-    if route == "linf-rows":  # the closed forms of dual_exact, row-wise
-        duals = dom.dual_upper_rows(A.reshape(-1, dom.dim)).reshape(A.shape[:2])
-        return [(d[i], {"row": int(i)}) for d, i in zip(duals, np.argmax(duals, axis=1))]
-    if route == "enumeration":  # the columns of each map as one configuration
-        return _sign_max(dom.dim, A.transpose(0, 2, 1), cod)
-    out = []
-    for a in A:  # l1-columns
-        vals = cod.norm_rows(a.T)
-        j = int(np.argmax(vals))
-        w = np.zeros(dom.dim)
-        w[j] = 1.0
-        out.append((vals[j], w))
-    return out
+def _svd_norms(A, *_):
+    """Full svds, in chunks of maps whose factors hold at most ASCENT_BLOCK
+    entries."""
+    step = max(1, ASCENT_BLOCK // max(A.shape[1:]) ** 2)
+    return [(s[0], v[0].copy()) for i in range(0, len(A), step)
+            for s, v in zip(*np.linalg.svd(A[i:i + step])[1:])]
+
+
+def _l1_columns(A, dom, cod, *_):
+    """One norm_rows over every column of every map, read as the F-ordered
+    rows that a.T gives, so each map's norms are those of its own call bit
+    for bit. Into a codomain that may round a row of a block apart from a
+    lone row (not _rows_alone: a subspace, whose one-row block goes to
+    gemv) one-column maps are read one by one."""
+    k, n, N = A.shape
+    if N == 1 and not cod._rows_alone:
+        vals = np.array([cod.norm_rows(a.T) for a in A])
+    else:
+        vals = cod.norm_rows(A.transpose(1, 0, 2).reshape(n, -1).T).reshape(k, N)
+    cols = np.eye(N)
+    return [(v[j], cols[j].copy()) for v, j in zip(vals, vals.argmax(axis=1))]
+
+
+def _linf_rows(A, dom, *_):
+    """One dual_upper_rows over the rows of every map: the closed forms of
+    dual_exact, row-wise."""
+    duals = dom.dual_upper_rows(A.reshape(-1, dom.dim)).reshape(A.shape[:2])
+    return [(d[i], {"row": int(i)}) for d, i in zip(duals, np.argmax(duals, axis=1))]
 
 
 def _searches(A, dom, cod, budget, seeds, vt=None):
@@ -803,6 +765,39 @@ def _searches(A, dom, cod, budget, seeds, vt=None):
             f = forms(a)
             out.append(best_start(x, v, f["objective"], f["project"]))
     return out
+
+
+#: The routes of operator_norms for nonzero maps dom -> cod, in the order
+#: they are tried: the first whose applies(dom, cod) holds takes the stack.
+#: A row is (name, tag, applies, norms), and norms(A, dom, cod, budget,
+#: seeds, vt) gives one (value, witness) per map of the (k, n, N) stack A,
+#: with vt the right singular vectors of its stacked svd on a LOWER row out
+#: of an l_inf cube, else None.
+#:   - svd: Euclidean to Euclidean, the largest singular value, exact.
+#:   - l1-columns: domain l_1, the largest column norm, exact.
+#:   - linf-rows: codomain l_inf and a domain with a closed-form dual norm,
+#:     the largest dual norm of a row, exact.
+#:   - enumeration: domain l_inf with at most ENUM_CAP coordinates, every
+#:     vertex of the cube, exact: one _sign_max over the stack, the columns
+#:     of each map one configuration.
+#:   - vertex-ascent: a larger l_inf domain and a normed codomain, where a
+#:     convex norm of A x peaks at a vertex: the maps climb the cube's
+#:     vertices in lockstep in one _vertex_ascents call, a witnessed lower
+#:     bound.
+#:   - search: everything else, the sphere search (_searches), a witnessed
+#:     lower bound. On a quasi-normed codomain an interior point can beat
+#:     every vertex, so out of a large l_inf cube the best vertex of the
+#:     ascent is one more start.
+_ROUTES = (
+    ("svd", EXACT, lambda dom, cod: dom.is_euclidean and cod.is_euclidean, _svd_norms),
+    ("l1-columns", EXACT, lambda dom, cod: dom.is_l1, _l1_columns),
+    ("linf-rows", EXACT, lambda dom, cod: cod.is_linf and dom.has_exact_dual, _linf_rows),
+    ("enumeration", EXACT, lambda dom, cod: dom.is_linf and dom.dim <= ENUM_CAP,
+     lambda A, dom, cod, *_: _sign_max(dom.dim, A.transpose(0, 2, 1), cod)),
+    ("vertex-ascent", LOWER, lambda dom, cod: dom.is_linf and not cod.is_quasi,
+     lambda A, dom, cod, budget, seeds, vt: _vertex_ascents(A, cod, budget, seeds, vt)),
+    ("search", LOWER, lambda dom, cod: True, _searches),
+)
 
 
 def dual_norm(space, functional, budget=32, seed=0):

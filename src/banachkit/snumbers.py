@@ -92,9 +92,10 @@ def approximation_numbers(T):
     upper = le_out * ge_in * s[:k]
     # sigma_n <= ge(Y) le(X) a_n(T)
     lower = s[:k] / (ge_out * le_in)
-    # a_1 is the operator norm; tighten both ends with its estimate
+    # a_1 is the operator norm: its estimate gives both ends, and a lower
+    # route's meta["upper"] is rounded outward, so it bounds the value
     op = operator_norm(T)
-    upper[0] = min(upper[0], op.meta.get("upper", upper[0])) if op.direction == "lower" else op.value
+    upper[0] = op.meta["upper"] if op.direction == "lower" else op.value
     lower[0] = max(lower[0], op.value)
     # an upper bound for a_m (m <= n) also bounds a_n, so tighten forward
     upper = np.minimum.accumulate(upper)

@@ -410,16 +410,3 @@ def constant_ledger(g, H, K=1.0, s2=1.0, s3=1.0, s4=1.0, l_t=1.0, t=2.0, m_r=1.0
     return ConstantLedger(s2=s2, s3=s3, s4=s4, l_t=l_t, t=t, m_r=m_r, r=r, h=H,
                           k=float(K), d=d, a=a, b=b, c1=c1, c2=c2,
                           c=max(c1, c2), note=note)
-
-
-def ledger_from_report(report, g, H, K=1.0):
-    """Build the constant ledger off a validation report of g."""
-    if not report.ok:
-        raise ValueError("cannot build a ledger from a failed validation")
-    return constant_ledger(
-        g, H, K=K, s2=report.s2, s3=report.s3, s4=report.s4,
-        l_t=report.l_t if report.l_t is not None else 1.0,
-        t=report.t if report.t is not None else 2.0,
-        m_r=report.m_r if report.m_r is not None else 1.0,
-        r=report.r if report.r is not None else 2,
-    )

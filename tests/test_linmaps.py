@@ -426,9 +426,14 @@ def test_operator_norm_names_its_route():
         (rng.standard_normal((5, 24)), "lp:inf:24", "lp:3:5", "vertex-ascent", "lower"),
         (rng.standard_normal((3, 4)), "lorentz:2:1:4", "lp:inf:3", "search", "lower"),
         (rng.standard_normal((3, 3)), "lp:1.5:3", "lp:3:3", "search", "lower"),
+        # a subspace has no capability flags, whatever its ambient space
+        (rng.standard_normal((3, 2)), SubspaceSpace(rng.standard_normal((4, 2)),
+                                                    parse_space("lp:1:4")),
+         "lp:3:3", "search", "lower"),
     ]
     for A, dom, cod, route, direction in cases:
-        est = operator_norm(LinearMap(A, parse_space(dom), parse_space(cod)), budget=8)
+        dom = parse_space(dom) if isinstance(dom, str) else dom
+        est = operator_norm(LinearMap(A, dom, parse_space(cod)), budget=8)
         assert (est.meta["route"], est.direction) == (route, direction), (dom, cod)
 
 
@@ -700,6 +705,9 @@ def test_operator_norms_off_the_ascent_route_is_a_loop():
     stack[2] = 0.0
     euclid = rng.standard_normal((5, 6, 7))  # Euclidean domain l_2^7, as Weyl numbers score
     euclid[1] = 0.0
+    l1 = rng.standard_normal((5, 12, 8))  # l1-columns: one norm_rows over every column
+    l1[3] = 0.0
+    sub = SubspaceSpace(rng.standard_normal((16, 12)), parse_space("lp:3:16"))
     cases = [(stack, "lp:inf", "lp:3:16", 8,
               ["vertex-ascent", "vertex-ascent", "zero", "vertex-ascent"]),
              (stack[[0, 1]], "lp:inf", "lorentz:2:inf:16", 8, ["search", "search"]),
@@ -713,14 +721,21 @@ def test_operator_norms_off_the_ascent_route_is_a_loop():
     cases += [(euclid, "lp:2", cod, budget, ["search", "zero", *["search"] * 3])
               for cod in ("lp:3:6", "lp:1:6", "lorentz:2:inf:6", "gweak:pow:0.5:6",
                           "lorentz:3:2:6") for budget in (0, 4)]
+    # a subspace reads a one-row block (a one-column map) by gemv, apart from a stack's gemm
+    cases += [(maps, "lp:1", cod, 8, ["l1-columns"] * 3 + ["zero", "l1-columns"])
+              for maps, cod in ((l1, "lp:3:12"), (l1, "lorentz:2:inf:12"), (l1, sub),
+                                (l1[..., :1], sub))]
     for matrices, dom, cod, budget, routes in cases:
-        dom, cod = parse_space(f"{dom}:{matrices.shape[2]}"), parse_space(cod)
+        dom = parse_space(f"{dom}:{matrices.shape[2]}")
+        cod = parse_space(cod) if isinstance(cod, str) else cod
         seeds = [3, 4, 5, 6, 3][:len(routes)]
         got = operator_norms(matrices, dom, cod, budget=budget, seeds=seeds)
         assert [est.meta["route"] for est in got] == routes
         for A, seed, est in zip(matrices, seeds, got):
             ref = operator_norm(LinearMap(A, dom, cod), budget, seed)
             assert est.to_dict() == ref.to_dict()
+            if est.meta["route"] == "l1-columns":  # the columns, read as the rows of a.T
+                assert est.value == cod.norm_rows(A.T).max()
             if isinstance(ref.witness, np.ndarray):
                 assert same_estimate(est, ref)
                 assert est.witness.base is None  # holds no stack alive

@@ -79,6 +79,23 @@ def test_approximation_numbers_bracket_non_euclidean():
     assert seq.lower[0] <= op <= seq.values[0] + 1e-12
 
 
+def test_rank_one_cube_maps_keep_their_a1_bracket():
+    # u 1^T attains le s_1 ge exactly, so only the outward rounding of the
+    # operator norm's meta["upper"] keeps a_1's lower end below its upper
+    count = 0
+    for N in (24, 32, 40):
+        for M in (3, 8, 16):
+            rng = np.random.default_rng(1000 * N + M)
+            dom, cod = parse_space(f"lp:inf:{N}"), parse_space(f"lp:2:{M}")
+            for _ in range(10):
+                T = LinearMap(np.outer(rng.standard_normal(M), np.ones(N)), dom, cod)
+                seq = approximation_numbers(T)
+                assert seq.lower[0] <= seq.values[0]
+                assert seq.values[0] == operator_norm(T).meta["upper"]
+                count += 1
+    assert count == 90
+
+
 def test_weyl_euclidean_equals_approximation():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 4))

@@ -11,8 +11,7 @@ from banachkit import (C_delta, GrowthSequence, H_constant, LinearMap,
 from banachkit import linmaps
 from banachkit.linmaps import weak_lq_upper
 from banachkit.spaces import gweak, parse_space
-from banachkit.summing import PremiseError, _best_frame, ledger_from_report
-from banachkit.growth import validate_growth
+from banachkit.summing import PremiseError, _best_frame
 
 SQRT = GrowthSequence.power(0.5)
 
@@ -232,8 +231,6 @@ def test_constant_ledger_validation():
     short = GrowthSequence.from_table({1: 1.0, 2: 1.2})
     with pytest.raises(ValueError, match="too short"):
         constant_ledger(short, H=2.0)  # needs g(16)
-    led = ledger_from_report(validate_growth(SQRT, 64, t=2.0, r=2), SQRT, H=1.0)
-    assert led.s2 == 1.0 and led.m_r == 1.0
 
 
 def test_pi1_on_a_subspace_space():
