@@ -13,8 +13,7 @@ through norm_rows; into a Euclidean codomain the ascent first screens
 its flips by inner products, and only the flips near the best reach
 norm_rows (see _vertex_ascents). operator_norms takes a stack of maps
 at once by the first row of _ROUTES that applies (the cube ascents
-climb in lockstep, the l_1 columns of every map go through one
-norm_rows); operator_norm is its one-map call.
+climb in lockstep); operator_norm is its one-map call.
 
 Every sign enumeration and Monte Carlo average of the package forms
 the product of a weight table and a configuration in row blocks of at
@@ -713,18 +712,16 @@ def _svd_norms(A, *_):
 
 
 def _l1_columns(A, dom, cod, *_):
-    """One norm_rows over every column of every map, read as the F-ordered
-    rows that a.T gives, so each map's norms are those of its own call bit
-    for bit. Into a codomain that may round a row of a block apart from a
-    lone row (not _rows_alone: a subspace, whose one-row block goes to
-    gemv) one-column maps are read one by one."""
-    k, n, N = A.shape
-    if N == 1 and not cod._rows_alone:
-        vals = np.array([cod.norm_rows(a.T) for a in A])
-    else:
-        vals = cod.norm_rows(A.transpose(1, 0, 2).reshape(n, -1).T).reshape(k, N)
-    cols = np.eye(N)
-    return [(v[j], cols[j].copy()) for v, j in zip(vals, vals.argmax(axis=1))]
+    """The largest column norm of each map, read as the rows of a.T, with
+    its unit vector e_j as witness."""
+    out = []
+    for a in A:
+        vals = cod.norm_rows(a.T)
+        j = int(np.argmax(vals))
+        w = np.zeros(dom.dim)
+        w[j] = 1.0
+        out.append((vals[j], w))
+    return out
 
 
 def _linf_rows(A, dom, *_):

@@ -721,7 +721,7 @@ def test_operator_norms_off_the_ascent_route_is_a_loop():
     cases += [(euclid, "lp:2", cod, budget, ["search", "zero", *["search"] * 3])
               for cod in ("lp:3:6", "lp:1:6", "lorentz:2:inf:6", "gweak:pow:0.5:6",
                           "lorentz:3:2:6") for budget in (0, 4)]
-    # a subspace reads a one-row block (a one-column map) by gemv, apart from a stack's gemm
+    # into a subspace, a one-column map is a one-row block, which goes to gemv
     cases += [(maps, "lp:1", cod, 8, ["l1-columns"] * 3 + ["zero", "l1-columns"])
               for maps, cod in ((l1, "lp:3:12"), (l1, "lorentz:2:inf:12"), (l1, sub),
                                 (l1[..., :1], sub))]
@@ -741,6 +741,28 @@ def test_operator_norms_off_the_ascent_route_is_a_loop():
                 assert est.witness.base is None  # holds no stack alive
     with pytest.raises(ValueError, match="3 seeds for 4 maps"):
         operator_norms(stack, parse_space("lp:inf:32"), parse_space("lp:3:16"), seeds=[1, 2, 3])
+
+
+def test_l1_columns_of_a_wide_map_hold_memory_linear_in_the_dim():
+    """Out of l_1^N into a small codomain, each witness is one length-N
+    vector: no N x N array, so N = 200,000 stays a few map sizes."""
+    rng = np.random.default_rng(28)
+    N = 200_000
+    A = rng.standard_normal((3, 2, N))
+    dom, cod = parse_space(f"lp:1:{N}"), parse_space("lp:2:2")
+    tracemalloc.start()
+    try:
+        got = operator_norms(A, dom, cod, seeds=[0, 1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * A.nbytes
+    for a, est in zip(A, got):
+        j = int(np.argmax(cod.norm_rows(a.T)))
+        assert est.meta["route"] == "l1-columns" and est.direction == "exact"
+        assert est.value == cod.norm_rows(a.T)[j]
+        assert est.witness.shape == (N,) and est.witness[j] == 1.0
+        assert np.count_nonzero(est.witness) == 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
