@@ -212,12 +212,7 @@ def cmd_verify(args):
     status = 0
     reports = []
     for name in names:
-        kwargs = {}
-        if args.budget is not None:
-            kwargs["budget"] = args.budget
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-        rep = run_suite(name, seed=args.seed, **kwargs)
+        rep = run_suite(name, seed=args.seed, budget=args.budget, tol=args.tol)
         reports.append(rep)
         for line in rep.summary_lines():
             print(line)

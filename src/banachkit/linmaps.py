@@ -16,16 +16,19 @@ at once by the first row of _ROUTES that applies (the cube ascents
 climb in lockstep); operator_norm is its one-map call.
 
 Every sign enumeration and Monte Carlo average of the package forms
-the product of a weight table and a configuration in row blocks of at
-most SIGN_BLOCK entries, through one job runner, _run_jobs. A job is a
-fill and the blocks it runs in order on one thread: one block of a sign
-table (sign_norms, _sign_sum), or one Monte Carlo chunk, which draws its
-weights block by block (_chunk_norms). A sign enumeration writes each
-block of patterns directly, so peak memory is a few blocks, whatever the
-dimension. The jobs of a large table or average run on the calling
-thread and one pool thread (see _fan_out), with the same results bit
-for bit. The exact sign maximum, with its first maximizing pattern,
-comes from _sign_max alone.
+the product of a weight table and a configuration, or a stack of them,
+in row blocks of at most SIGN_BLOCK entries, through one job runner,
+_run_jobs, and one block product, _Blocks.norms. A job is a fill, a run
+of configurations and the blocks it runs in order on one thread: one
+block of a sign table times as many whole tables' configurations as fit
+in it, else one (sign_norms, _sign_sum, _sign_max), or one Monte Carlo
+chunk, which draws its weights block by block (_chunk_norms). A sign
+enumeration writes each block of patterns directly, so peak memory is a
+few blocks, whatever the dimension. The jobs of a large table or
+average run on the calling thread and one pool thread (see _fan_out),
+with the same results bit for bit. The exact sign maximum, with its
+first maximizing pattern, comes from _sign_max alone, which keeps each
+block's first maximum.
 """
 
 import math
@@ -161,10 +164,8 @@ def _fan_out(job, count, scratch):
 def _spans(m, rows):
     """(start, stop) of blocks of `rows` rows over m rows; a one-row tail
     joins the block before it."""
-    starts = list(range(0, m, rows))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [m]))
+    stops = range(rows, m - 1, rows)
+    return list(zip([0, *stops], [*stops, m]))
 
 
 def _keep(buf):
@@ -241,6 +242,12 @@ def _block_rows(width):
     return 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
 
 
+def _width(n, dim, space):
+    """The widest row sign_norms forms on (n, dim) configurations: the
+    weights, their product, or the rows space.norm_rows forms from it."""
+    return max(n, dim, space.row_width)
+
+
 def sign_weights(n, dim, space, scale=None):
     """(signs, scale) for sign_norms calls on (n, dim) configurations, or
     stacks of them, that share the table sign_patterns(n) * scale (scale
@@ -248,24 +255,28 @@ def sign_weights(n, dim, space, scale=None):
     it fits in one block of those calls; else n and scale, and each call
     streams the table (see _pattern_fill). Either way a call gives the
     same norms bit for bit."""
-    if n < 1 or 2 ** (n - 1) > _block_rows(max(n, dim, space.row_width)):
+    if n < 1 or 2 ** (n - 1) > _block_rows(_width(n, dim, space)):
         return n, scale
     table = sign_patterns(n)
     return (table.astype(float) if scale is None else table * scale), None
 
 
 class _Blocks:
-    """The blocks of sign_norms on an (n, dim) configuration (see
-    sign_norms): the widest row formed, the rows per block (the largest
-    power of two whose widest array fits in SIGN_BLOCK entries), the
-    row-norm kernel and working arrays. They are made on the calling
-    thread; norms then calls no function of the package that is not
-    private, so any thread may run it."""
+    """The blocks of sign_norms on a (k, n, dim) stack of configurations
+    and an m-row weight table W (see sign_norms): the widest row formed,
+    the rows per block (the largest power of two whose widest array fits
+    in SIGN_BLOCK entries), the configurations a block multiplies (as
+    many whole tables as fit, else one), the row-norm kernel and working
+    arrays. They are made on the calling thread; norms then calls no
+    function of the package that is not private, so any thread may run
+    it."""
 
-    def __init__(self, config, space):
-        n, dim = config.shape[-2:]
-        self.width = max(n, dim, space.row_width)
+    def __init__(self, config, space, m):
+        _, n, dim = config.shape
+        self.width = _width(n, dim, space)
         self.rows = _block_rows(self.width)
+        self.per = max(1, self.rows // m)
+        self.tallest = min(m, self.rows + 1)  # a one-row tail joins its block
         self.config = config
         self.kernel = space._row_kernel()
 
@@ -274,58 +285,59 @@ class _Blocks:
         blocks of entries on, else one."""
         return _WORKERS if m * self.width >= _FAN_OUT * SIGN_BLOCK else 1
 
-    def work(self, k):
-        """A working array for blocks of up to k rows, as the weight buffer
-        and the product buffer."""
-        n, dim = self.config.shape[-2:]
-        work = np.empty(k * (n + dim))
-        return work[:k * n].reshape(k, n), work[k * n:]
+    def jobs(self, fill, spans):
+        """One job (fill, c, [span]) per block of a table (see _run_jobs):
+        each span of rows for each run of self.per configurations."""
+        return [(fill, c, [span]) for c in range(0, len(self.config), self.per)
+                for span in spans]
 
-    def norms(self, fill, start, stop, buf, prod):
-        """The row norms of rows start:stop of W @ config, with fill writing
-        the weight block into buf (see _weight_fill)."""
-        dim = self.config.shape[-1]
-        block = fill(start, stop, buf)
-        return self.kernel(np.matmul(block, self.config,
-                                     out=prod[:(stop - start) * dim].reshape(-1, dim)))
+    def work(self):
+        """A working array for blocks of up to self.tallest rows, as the
+        weight buffer and the product buffer."""
+        k, n, dim = self.config.shape
+        rows = self.tallest
+        work = np.empty(rows * (n + min(k, self.per) * dim))
+        return work[:rows * n].reshape(rows, n), work[rows * n:]
+
+    def norms(self, fill, c, start, stop, buf, prod):
+        """The (configurations, rows) row norms of rows start:stop of
+        W @ config[c:c + per], with fill writing the weight block into buf
+        (see _weight_fill): one product per configuration, stacked."""
+        part = self.config[c:c + self.per]
+        k, _, dim = part.shape
+        block = np.matmul(fill(start, stop, buf), part,
+                          out=prod[:k * (stop - start) * dim].reshape(k, -1, dim))
+        return self.kernel(block.reshape(-1, dim)).reshape(k, -1)
 
 
-def _run_jobs(plan, jobs, threads, prepare=_keep):
-    """[reduce(norms) for each job (fill, spans, reduce)], with norms the
-    row norms of the rows of W @ plan.config that spans lists, in order,
-    and fill writing each block of W (see _weight_fill). A job runs its
-    spans in order on one thread; the jobs run on `threads` threads (see
+def _run_jobs(plan, jobs, reduce, threads, prepare=_keep, gather=0):
+    """[reduce(norms, c, start) for each job (fill, c, spans)], with norms
+    the (configurations, rows) row norms of the rows of W @ plan.config[c:
+    c + plan.per] that spans lists, in order, start the first of them, and
+    fill writing each block of W (see _weight_fill). A job runs its spans
+    in order on one thread; the jobs run on `threads` threads (see
     _fan_out), each with its own working array, which prepare readies on
     the calling thread. A job of one span hands its fresh norms straight
-    to reduce, a longer one gathers them first; reduce may work in its
-    argument in place, on either thread."""
-    tallest = max(stop - start for _, spans, _ in jobs for start, stop in spans)
-    gathered = max((spans[-1][1] for _, spans, _ in jobs if len(spans) > 1), default=0)
+    to reduce; a longer one, of one configuration and at most `gather`
+    rows, gathers them first. reduce may work in its argument in place,
+    on either thread."""
     works = []
     for _ in range(threads):
-        buf, prod = plan.work(tallest)
+        buf, prod = plan.work()
         prepare(buf)
-        works.append((buf, prod, np.empty(gathered)))
+        works.append((buf, prod, np.empty((1, gather)) if gather else None))
 
     def run(i, work):
-        fill, spans, reduce = jobs[i]
+        fill, c, spans = jobs[i]
         buf, prod, out = work
         if len(spans) == 1:
-            return reduce(plan.norms(fill, *spans[0], buf, prod))
+            (start, stop), = spans
+            return reduce(plan.norms(fill, c, start, stop, buf, prod), c, start)
         for start, stop in spans:
-            out[start:stop] = plan.norms(fill, start, stop, buf, prod)
-        return reduce(out[:stop])
+            out[:, start:stop] = plan.norms(fill, c, start, stop, buf, prod)
+        return reduce(out[:, :stop], c, 0)
 
     return _fan_out(run, len(jobs), works)
-
-
-def _all_norms(plan, signs, m, scale, out):
-    """The m norms of sign_norms(signs, plan.config, space), one job a
-    block, written into out."""
-    spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
-    _run_jobs(plan, [(fill, [span], partial(np.copyto, out[slice(*span)])) for span in spans],
-              plan.threads(m), prepare)
-    return out
 
 
 def _sign_sum(n, config, space, f):
@@ -337,13 +349,12 @@ def _sign_sum(n, config, space, f):
     subtrees of that sum, so each block is summed alone and the sums are
     added pairwise, without the vector of 2^(n-1) norms.
     """
-    plan = _Blocks(config, space)
     m = 2 ** (n - 1)
+    plan = _Blocks(config[None], space, m)
     if plan.rows < 128:
-        return np.sum(f(_all_norms(plan, n, m, None, np.empty(m))))
+        return np.sum(f(sign_norms(n, config, space)))
     spans, prepare, fill = _weight_fill(n, m, plan.rows, None)
-    total = lambda norms: np.sum(f(norms))
-    sums = np.array(_run_jobs(plan, [(fill, [span], total) for span in spans],
+    sums = np.array(_run_jobs(plan, plan.jobs(fill, spans), lambda v, c, start: np.sum(f(v[0])),
                               plan.threads(m), prepare))
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
@@ -357,10 +368,10 @@ def _chunk_norms(draws, counts, config, space, reduce):
     next rows of W, block after block in order, as a Monte Carlo chunk
     drawn from its own generator. Each chunk is one job (see _run_jobs);
     two or more run on plan.threads(rows in all) threads."""
-    plan = _Blocks(config, space)
-    jobs = [(partial(_drawn, draw), _spans(m, plan.rows), reduce)
-            for draw, m in zip(draws, counts)]
-    return _run_jobs(plan, jobs, plan.threads(sum(counts)) if len(counts) > 1 else 1)
+    plan = _Blocks(config[None], space, max(counts))
+    jobs = [(partial(_drawn, draw), 0, _spans(m, plan.rows)) for draw, m in zip(draws, counts)]
+    return _run_jobs(plan, jobs, lambda v, c, start: reduce(v[0]),
+                     plan.threads(sum(counts)) if len(counts) > 1 else 1, gather=max(counts))
 
 
 def sign_norms(signs, config, space, *, scale=None):
@@ -388,10 +399,10 @@ def sign_norms(signs, config, space, *, scale=None):
     it, since numpy hands a one-row product to gemv, which rounds
     differently from gemm. Up to a few hundred coordinates the row norms
     then equal those of the one-shot product bit for bit; past that BLAS
-    may round a block in another order. A stack is multiplied whole
-    tables at a time, as many configurations per block as fit; once one
-    table fills a block, each configuration takes the one-configuration
-    path. A stack so gives the norms of its configurations one by one,
+    may round a block in another order. A block multiplies as many whole
+    tables, one per configuration of a stack, as fit in it, else one
+    configuration's rows (see _Blocks); each configuration's product is
+    its own, so a stack gives the norms of its configurations one by one,
     bit for bit within the same limit.
 
     A table of at least four blocks of entries runs on two threads, the
@@ -406,46 +417,40 @@ def sign_norms(signs, config, space, *, scale=None):
     the dimension.
     """
     m = 2 ** (signs - 1) if isinstance(signs, (int, np.integer)) else signs.shape[0]
-    if config.ndim == 3:
-        return _stack_norms(signs, config, space, m, scale)
-    return _all_norms(_Blocks(config, space), signs, m, scale, np.empty(m))
+    plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
+    spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
+    out = np.empty((len(plan.config), m))
 
+    def write(norms, c, start):
+        out[c:c + len(norms), start:start + norms.shape[1]] = norms
 
-def _stack_norms(signs, config, space, m, scale):
-    """sign_norms of a (k, n, dim) stack of configurations."""
-    out = np.empty((config.shape[0], m))
-    plan = _Blocks(config, space)
-    if m >= plan.rows:
-        for i, c in enumerate(config):
-            _all_norms(_Blocks(c, space), signs, m, scale, out[i])
-        return out
-    step = plan.rows // m
-    dim = config.shape[-1]
-    _, _, fill = _weight_fill(signs, m, plan.rows, scale)
-    table = fill(0, m, np.empty((m, config.shape[1])))  # W as one float block
-    prod = np.empty((min(step, config.shape[0]), m, dim))
-    for start in range(0, config.shape[0], step):
-        part = config[start:start + step]
-        block = np.matmul(table, part, out=prod[:len(part)])
-        out[start:start + step] = plan.kernel(block.reshape(-1, dim)).reshape(-1, m)
-    return out
+    _run_jobs(plan, plan.jobs(fill, spans), write, plan.threads(m), prepare)
+    return out if config.ndim == 3 else out[0]
 
 
 def _sign_max(n, config, space):
     """(value, first maximizing row of sign_patterns(n)) of the sign norms
     of one (n, dim) configuration, or a list of them for a (k, n, dim)
-    stack: the exact sign maximum sup_eps ||sum_k eps_k x_k||. A stack is
-    taken as many configurations at a time as sign_norms multiplies in
-    one block, so it holds no (k, 2^(n-1)) array of norms, and each value
-    equals its one-configuration call within the limit of sign_norms."""
-    if config.ndim == 2:
-        parts = [sign_norms(n, config, space)[None]]
-    else:
-        step = max(1, _block_rows(max(*config.shape[1:], space.row_width)) >> (n - 1))
-        parts = (sign_norms(n, config[i:i + step], space) for i in range(0, len(config), step))
-    found = [(float(v[i]), sign_pattern(n, i))
-             for vals in parts for v, i in zip(vals, vals.argmax(axis=1))]
-    return found if config.ndim == 3 else found[0]
+    stack: the exact sign maximum sup_eps ||sum_k eps_k x_k||. Each block
+    keeps the first maximum of each configuration it multiplies, and a
+    configuration takes the first block that holds its largest, so no
+    (k, 2^(n-1)) array of norms is held, and each value equals its
+    one-configuration call within the limit of sign_norms."""
+    m = 2 ** (n - 1)
+    plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
+    spans, prepare, fill = _weight_fill(n, m, plan.rows, None)
+
+    def first_max(norms, c, start):
+        i = norms.argmax(axis=1)
+        return norms[np.arange(len(i)), i], i + start
+
+    found = _run_jobs(plan, plan.jobs(fill, spans), first_max, plan.threads(m), prepare)
+    out = []
+    for g in range(0, len(found), len(spans)):  # the blocks of one run of configurations
+        values, firsts = (np.array(a) for a in zip(*found[g:g + len(spans)]))
+        for c, b in enumerate(values.argmax(axis=0)):
+            out.append((float(values[b, c]), sign_pattern(n, firsts[b, c])))
+    return out if config.ndim == 3 else out[0]
 
 
 class LinearMap:
@@ -507,13 +512,16 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     the all-ones vector and split_budget(budget)[0] random sign vectors
     seeded from seeds[i]. Each step, every active start of every map
     scores its flips y - eps_j f_j, f_j = 2 A_i[:, j], and takes the best
-    if it gains more than a relative 1e-12, else stops. Every flip it
-    scores is formed as -eps_j f_j + y and goes through norm_rows, in
-    blocks of at most ASCENT_BLOCK entries.
+    if it gains more than a relative 1e-12, else stops. One loop scores
+    the kept (start, flip) pairs of a step, those of every map together:
+    each flip is formed as -eps_j f_j + y, with -eps_j f_j a row of the
+    signed flips +-f_j taken once, and goes through norm_rows in blocks
+    of `rows` rows, at most ASCENT_BLOCK entries. Every flip is kept but
+    into a Euclidean codomain.
 
     Into a codomain with is_euclidean (a NormedSpace, which reads each
-    row of a block as alone) only the flips near the best are scored;
-    the others are screened out by the identity
+    row of a block as alone) only the flips near the best are kept; the
+    others are screened out by the identity
     ||y - eps_j f_j||^2 = ||y||^2 + d_j, d_j = ||f_j||^2 - 2 eps_j <y, f_j>,
     with one stacked product Y @ F^T per step and the ||f_j||^2 taken
     once. A screened-out flip scores -inf. With F = max_j ||f_j||, each
@@ -545,7 +553,6 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
         for j, s in enumerate(child_seeds(seed, E.shape[1] - 2), 2):
             E[i, j] = np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
     rows = max(1, ASCENT_BLOCK // max(n, cod.row_width))  # rows per block
-    pairs, step = max(1, rows // N), min(N, rows)  # starts x flips per block
 
     def norms(Y):
         """cod.norm_rows of a (k, starts, n) stack of images, in blocks."""
@@ -555,49 +562,43 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
 
     Y = np.matmul(E, A.transpose(0, 2, 1))
     score = norms(Y)
-    # row j of map i: what flipping entry j moves y by; C order keeps gathers contiguous
-    flips = np.multiply(2.0, A.transpose(0, 2, 1), order="C")
+    # flips[0, i, j] = f_j of map i and flips[1, i, j] = -f_j, so that each
+    # -eps_j f_j is a row of `signed`; C order keeps gathers contiguous
+    flips = np.empty((2, k, N, n))
+    np.multiply(2.0, A.transpose(0, 2, 1), out=flips[0])
+    np.negative(flips[0], out=flips[1])
+    signed = flips.reshape(-1, n)
+    if cod.is_euclidean:
+        sq = np.einsum("kjn,kjn->kj", flips[0], flips[0])  # ||f_j||^2
+        far = np.sqrt(sq.max(axis=1))
+        tol = SCREEN_ULPS * (n + 2) * np.finfo(float).eps
 
-    def every_flip(mi, si):
-        """The norm_rows value of every flip of each active start."""
-        vals = np.empty((mi.size, N))
-        for p in range(0, mi.size, pairs):
-            m, t = mi[p:p + pairs], si[p:p + pairs]
-            for j in range(0, N, step):
-                block = flips[m, j:j + step]  # y - eps_j flips_j as -eps_j flips_j + y
-                block *= -E[m, t, j:j + step, None]
-                block += Y[m, t, None]
-                vals[p:p + m.size, j:j + step] = cod.norm_rows(
-                    block.reshape(-1, n)).reshape(m.size, -1)
-        return vals
-
-    def screened_flips(mi, si):
-        """every_flip of the flips the screen keeps, -inf elsewhere."""
+    def screen(mi, si, y, eps):
+        """The flips the screen keeps of each active start, as a (starts, N)
+        mask."""
         live = np.unique(mi)
         whole = live.size == k  # no gather of the maps
         dots = np.matmul(Y if whole else Y[live],
-                         (flips if whole else flips[live]).transpose(0, 2, 1))  # <y, f_j>
-        y, eps = Y[mi, si], E[mi, si]
+                         (flips[0] if whole else flips[0, live]).transpose(0, 2, 1))  # <y, f_j>
         d = sq[mi] - 2.0 * eps * dots[np.searchsorted(live, mi), si]
         reach = np.sqrt(np.einsum("pn,pn->p", y, y)) + far[mi]
-        keep = d >= (d.max(axis=1) - tol * reach * reach)[:, None]
-        p, j = np.nonzero(keep)
+        return d >= (d.max(axis=1) - tol * reach * reach)[:, None]
+
+    def flip_values(mi, si):
+        """The norm_rows value of every kept flip of each active start,
+        -inf elsewhere."""
+        y, eps = Y[mi, si], E[mi, si]
+        keep = screen(mi, si, y, eps) if cod.is_euclidean else np.ones((mi.size, N), dtype=bool)
+        pairs = np.flatnonzero(keep)  # kept (start, flip) pairs, start by start
+        at = ((eps > 0) * k + mi[:, None]) * N + np.arange(N)  # the row of -eps_j f_j
         vals = np.full((mi.size, N), -np.inf)
-        for b in range(0, p.size, rows):
-            pb, jb = p[b:b + rows], j[b:b + rows]
-            block = flips[mi[pb], jb]
-            block *= -eps[pb, jb, None]
-            block += y[pb]
-            vals[pb, jb] = cod.norm_rows(block)
+        for start in range(0, pairs.size, rows):
+            pb = pairs[start:start + rows]
+            block = signed.take(at.take(pb), axis=0)  # y - eps_j f_j as -eps_j f_j + y
+            block += y.take(pb // N, axis=0)
+            vals.put(pb, cod.norm_rows(block))
         return vals
 
-    if cod.is_euclidean:
-        sq = np.einsum("kjn,kjn->kj", flips, flips)  # ||f_j||^2
-        far = np.sqrt(sq.max(axis=1))
-        tol = SCREEN_ULPS * (n + 2) * np.finfo(float).eps
-        flip_values = screened_flips
-    else:
-        flip_values = every_flip
     active = np.ones(score.shape, dtype=bool)
     while active.any():
         mi, si = np.nonzero(active)

@@ -117,6 +117,28 @@ def test_report_json_and_csv(capsys, tmp_path):
     assert "growth" in text
 
 
+def test_verify_passes_budget_and_tol_to_the_suite(capsys, monkeypatch, tmp_path):
+    # given, --budget and --tol reach run_suite; left out, the suite's own.
+    # pi1 reports the same records either way, so the calls are recorded too
+    calls = []
+
+    def recording(name, **kwargs):
+        calls.append(kwargs)
+        return run_suite(name, **kwargs)
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    out = tmp_path / "pi1.json"
+    for flags, kwargs in ((["--budget", "0", "--tol", "1e-9"], {"budget": 0, "tol": 1e-9}),
+                          ([], {})):
+        code, _, _ = run(capsys, "verify", "pi1", "--seed", "3", *flags, "--out", str(out))
+        assert code == 0
+        assert {k: v for k, v in calls[-1].items() if v is not None} == {"seed": 3, **kwargs}
+        got, want = json.loads(out.read_text()), run_suite("pi1", seed=3, **kwargs).to_dict()
+        for record in got["records"] + want["records"]:
+            record.pop("runtime")
+        assert got == want
+
+
 def test_tol_and_format_belong_to_verify(capsys):
     for argv in (["snum", "--domain", "lp:2:2", "--format", "csv"],
                  ["norm", "lp:2", "--vec", "1", "--tol", "0.1"]):

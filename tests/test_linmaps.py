@@ -124,6 +124,21 @@ def test_stacked_sign_norms_memory_stays_bounded():
     assert peak < 64 * 2**20
 
 
+def test_empty_stacks_give_empty_norms_and_maxima():
+    # a (0, n, dim) stack runs no job: a one-block table, a streamed one
+    # (2^15 patterns in 512-row blocks) and a scaled one alike
+    for n, dim, name in ((5, 4, "lp:3:4"), (16, 300, "lp:3:300"), (5, 4, "lorentz:2:1:4")):
+        sp = parse_space(name)
+        empty = np.empty((0, n, dim))
+        for scale in (None, np.linspace(0.5, 1.5, n)):
+            for signs in (n, sign_weights(n, dim, sp, scale)[0]):
+                kwargs = {"scale": scale} if isinstance(signs, int) else {}
+                assert sign_norms(signs, empty, sp, **kwargs).shape == (0, 2 ** (n - 1))
+        assert linmaps._sign_max(n, empty, sp) == []
+        for q in (1.5, 2.0):
+            assert weak_lq_upper(empty, sp, q).shape == (0,)
+
+
 def test_enumerated_witnesses_do_not_hold_the_pattern_table(monkeypatch):
     tables = []
 
@@ -212,13 +227,16 @@ def first_sign_max(n, config, sp):
 
 @pytest.mark.parametrize("n, dim", [(1, 3), (3, 3), (9, 40), (14, 40)])
 def test_sign_max_is_the_first_maximum_of_the_sign_norms(n, dim):
-    # (14, 40): 8192 patterns in blocks of 4096 rows, so each configuration
-    # of a stack takes the one-configuration path; the others share blocks
+    # (14, 40): 8192 patterns in blocks of 4096 rows, one configuration a
+    # block; the others take several configurations a block
     rng = np.random.default_rng(130 + n)
     for name in SIGN_MAX_SPACES:
         sp = _enum_space(name, dim, rng)
         stack = rng.standard_normal((5, n, dim))
         stack[1, -1] = 0.0  # ties: each pattern and its last sign flipped
+        # ties: patterns i and i + 2^(n-2), in different blocks at (14, 40),
+        # where the first block must win (n = 1 has no second vector)
+        stack[2, 1:2] = 0.0
         found = linmaps._sign_max(n, stack, sp)
         assert len(found) == len(stack)
         for config, (value, signs) in zip(stack, found):
@@ -944,6 +962,25 @@ def test_summing_search_builds_its_sign_table_once(monkeypatch):
     monkeypatch.setattr(linmaps, "sign_patterns", counting)
     pi_pq_n(identity_map(parse_space("lp:3:4")), 2, 1, 5, budget=16, seed=2)
     assert built == [5]
+
+
+@pytest.mark.parametrize("ambient", ["lp:3", "lorentz:2:1"])
+def test_stacked_vertex_ascent_into_a_subspace_equals_each_map_alone(ambient):
+    # a subspace's norm_rows blocks may round apart from its one-row calls,
+    # and a stack scores the flips of several maps in one block
+    rng = np.random.default_rng(52)
+    for amb, sub_dim in ((7, 5), (24, 16), (300, 12)):
+        cod = SubspaceSpace(rng.standard_normal((amb, sub_dim)), parse_space(f"{ambient}:{amb}"))
+        for N in (21, 64):
+            for budget in (0, 16):
+                stack = rng.standard_normal((12, sub_dim, N))
+                seeds = list(range(budget, budget + len(stack)))
+                got = linmaps._vertex_ascents(stack, cod, budget, seeds)
+                for a, seed, (value, witness) in zip(stack, seeds, got):
+                    ((alone, alone_witness),) = linmaps._vertex_ascents(a[None], cod, budget,
+                                                                        [seed])
+                    assert value == alone
+                    assert witness.tobytes() == alone_witness.tobytes()
 
 
 def test_vertex_ascent_into_a_subspace_reads_each_vertex_alone():
