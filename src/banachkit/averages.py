@@ -105,12 +105,20 @@ def rademacher_average(config, space, moment=1, samples=100_000, seed=0, enum_ca
     if moment not in (1, 2):
         raise ValueError("moment must be 1 or 2")
     config = _as_config(config)
-    n = config.shape[0]
-    if n <= enum_cap:
-        m = 2 ** (n - 1)
-        mean = float(_sign_sum(n, config, space, partial(_moments, moment=moment))) / m
-        return _finish(mean, 0.0, moment, "exact-enumeration", m, seed)
+    if config.shape[0] <= enum_cap:
+        return _enumerated_averages(config[None], space, moment, seed)[0]
     return _mc_average(config, space, moment, _draw_signs, samples, seed)
+
+
+def _enumerated_averages(configs, space, moment, seed):
+    """The exact sign averages of a (k, n, dim) stack of configurations,
+    from one _sign_sum call; each is its rademacher_average within the
+    limit of linmaps.sign_norms."""
+    n = configs.shape[1]
+    m = 2 ** (n - 1)
+    sums = _sign_sum(n, configs, space, partial(_moments, moment=moment))
+    return [_finish(float(total) / m, 0.0, moment, "exact-enumeration", m, seed)
+            for total in sums]
 
 
 def gaussian_average(config, space, moment=1, samples=100_000, seed=0):

@@ -342,23 +342,33 @@ def _run_jobs(plan, jobs, reduce, threads, prepare=_keep, gather=0):
 
 def _sign_sum(n, config, space, f):
     """np.sum(f(sign_norms(n, config, space))) bit for bit, for an f that
-    works elementwise in place (f runs on any thread).
+    works elementwise in place (f runs on any thread), or the sums of a
+    (k, n, dim) stack, each its one-configuration call within the limit
+    of sign_norms (not always into a SubspaceSpace of dimension 33 or
+    more).
 
     numpy sums a float64 vector pairwise, halving it down to runs of 128
     entries. Blocks of a power of two rows, at least 128, are whole
-    subtrees of that sum, so each block is summed alone and the sums are
-    added pairwise, without the vector of 2^(n-1) norms.
+    subtrees of that sum, so each block is summed alone, one job per
+    block and run of configurations, and each configuration's block sums
+    are added pairwise, without the (k, 2^(n-1)) norms. Shorter blocks of
+    a table of several gather a configuration's norms first.
     """
     m = 2 ** (n - 1)
-    plan = _Blocks(config[None], space, m)
-    if plan.rows < 128:
-        return np.sum(f(sign_norms(n, config, space)))
+    plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
     spans, prepare, fill = _weight_fill(n, m, plan.rows, None)
-    sums = np.array(_run_jobs(plan, plan.jobs(fill, spans), lambda v, c, start: np.sum(f(v[0])),
-                              plan.threads(m), prepare))
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
-    return sums[0]
+    k = len(plan.config)
+    whole = len(spans) > 1 and plan.rows < 128
+    jobs = [(fill, c, spans) for c in range(k)] if whole else plan.jobs(fill, spans)
+    sums = np.empty((k, 1 if whole else len(spans)))  # one column per block
+
+    def add(norms, c, start):
+        sums[c:c + len(norms), start // plan.rows] = np.sum(f(norms), axis=1)
+
+    _run_jobs(plan, jobs, add, plan.threads(m), prepare, gather=m if whole else 0)
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return sums[:, 0] if config.ndim == 3 else sums[0, 0]
 
 
 def _chunk_norms(draws, counts, config, space, reduce):
@@ -403,7 +413,11 @@ def sign_norms(signs, config, space, *, scale=None):
     tables, one per configuration of a stack, as fit in it, else one
     configuration's rows (see _Blocks); each configuration's product is
     its own, so a stack gives the norms of its configurations one by one,
-    bit for bit within the same limit.
+    bit for bit within the same limit, but for a SubspaceSpace of
+    dimension 33 or more: its norm_rows multiplies a whole block by the
+    basis in one gemm, and BLAS may round a row apart with the block's
+    height at such inner dimensions (18 to 28 of 2,072 norms of a stack
+    came out apart at dimensions 33 to 65, none at 5 and 16).
 
     A table of at least four blocks of entries runs on two threads, the
     calling thread and one pool thread, where the process may use two
@@ -435,7 +449,8 @@ def _sign_max(n, config, space):
     keeps the first maximum of each configuration it multiplies, and a
     configuration takes the first block that holds its largest, so no
     (k, 2^(n-1)) array of norms is held, and each value equals its
-    one-configuration call within the limit of sign_norms."""
+    one-configuration call within the limit of sign_norms: not always
+    into a SubspaceSpace of dimension 33 or more."""
     m = 2 ** (n - 1)
     plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
     spans, prepare, fill = _weight_fill(n, m, plan.rows, None)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averages import gaussian_average, rademacher_average
+from .averages import _enumerated_averages, gaussian_average, rademacher_average
 from .estimates import Record
-from .linmaps import identity_map
+from .linmaps import ENUM_CAP, identity_map
 from .search import child_seeds
 from .summing import equal_norm_premise_check
 
@@ -109,9 +109,12 @@ def select_block(config, space, J, s, target, budget=32, seed=0, target_strict=N
     """Search an s-subset of J maximizing the sign average.
 
     Greedy augmentation from the best singleton, followed by seeded
-    random restarts and single-swap polishing. Whether the target was
-    met is recorded as data: the existence guarantee behind the target
-    needs hypotheses that are only tested empirically here.
+    random restarts. Each greedy step scores its candidates as one
+    stack, and the greedy block and the restarts, all drawn first, are
+    one more; the first maximum wins, as a loop over the candidates
+    picks it. Whether the target was met is recorded as data: the
+    existence guarantee behind the target needs hypotheses that are
+    only tested empirically here.
     """
     config = np.asarray(config, dtype=float)
     J = sorted(int(j) for j in J)
@@ -119,33 +122,29 @@ def select_block(config, space, J, s, target, budget=32, seed=0, target_strict=N
         raise ValueError(f"cannot select {s} indices out of {len(J)}")
     s_rade, s_gauss, s_rng = child_seeds(seed, 3)
 
-    def measure(idx):
-        return rademacher_average(config[list(idx)], space, moment=1,
-                                  samples=samples, seed=s_rade)
+    def first_best(cands):
+        """The index list of largest sign average among lists of one
+        length, the first of equals, and that average: one enumeration of
+        their stacked configurations, else a Monte Carlo call each."""
+        if len(cands[0]) <= ENUM_CAP:
+            avgs = _enumerated_averages(config[np.array(cands)], space, 1, s_rade)
+        else:
+            avgs = [rademacher_average(config[list(idx)], space, moment=1, samples=samples,
+                                       seed=s_rade) for idx in cands]
+        best = max(range(len(cands)), key=lambda i: avgs[i].value)
+        return cands[best], avgs[best]
 
     # greedy augmentation
     singles = [(space.norm(config[j]), j) for j in J]
     current = [max(singles)[1]]
     while len(current) < s:
-        best_gain, best_j = -1.0, None
-        for j in J:
-            if j in current:
-                continue
-            v = measure(current + [j]).value
-            if v > best_gain:
-                best_gain, best_j = v, j
-        current.append(best_j)
-    best_idx = tuple(sorted(current))
-    best_val = measure(best_idx).value
-
+        current = first_best([current + [j] for j in J if j not in current])[0]
+    # the restarts' draws do not depend on the scores: draw them all, then
+    # score the greedy block and the restarts together
     rng = np.random.default_rng(s_rng)
-    for _ in range(max(0, budget)):
-        cand = tuple(sorted(rng.choice(J, size=s, replace=False)))
-        v = measure(cand).value
-        if v > best_val:
-            best_val, best_idx = v, cand
-
-    avg = measure(best_idx)
+    restarts = [tuple(sorted(rng.choice(J, size=s, replace=False)))
+                for _ in range(max(0, budget))]
+    best_idx, avg = first_best([tuple(sorted(current)), *restarts])
     gauss = gaussian_average(config[list(best_idx)], space, moment=1,
                              samples=samples, seed=s_gauss)
     return BlockSelection(

@@ -214,13 +214,25 @@ def weyl_numbers(T, budget=16, seed=0):
 
 
 def eigenvalue_sequence(T):
-    """All eigenvalues with multiplicity, sorted by non-increasing modulus."""
+    """All eigenvalues with multiplicity, sorted by non-increasing modulus,
+    then by non-increasing real part, then by non-increasing imaginary part.
+
+    T is a LinearMap, a square matrix or a (k, n, n) stack of them; a stack
+    gives a list of k sequences from one LAPACK call, each equal bit for bit
+    to its one-matrix call. Real input goes to LAPACK's real solver
+    (DGEEV), whose complex eigenvalues come in exact conjugate pairs and
+    whose real eigenvalues have imaginary part exactly 0, so each pair is
+    adjacent with +Im first; complex input goes to the complex solver.
+    """
     A = np.asarray(T.matrix) if isinstance(T, LinearMap) else np.asarray(T)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("eigenvalue sequence needs a square matrix")
-    vals = np.linalg.eigvals(A.astype(complex))
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    return EigenSequence(vals[order])
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError("eigenvalue sequence needs a square matrix or a stack of them")
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
+    # real input comes back as a real array when no eigenvalue is complex
+    vals = np.linalg.eigvals(A).astype(complex, copy=False)
+    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    return [EigenSequence(v) for v in vals] if A.ndim == 3 else EigenSequence(vals)
 
 
 def pi2_by_approx_bound(w):

@@ -235,8 +235,7 @@ def suite_eigen(seed=0, budget=32, tol=1e-8):
     for _ in range(200):
         n = int(rng.integers(2, 9))
         A = rng.standard_normal((n, n))
-        lam = np.abs(np.linalg.eigvals(A))
-        lam = -np.sort(-lam)
+        lam = eigenvalue_sequence(A).moduli
         sv = np.linalg.svd(A, compute_uv=False)
         ok &= bool(np.all(np.cumprod(lam) <= np.cumprod(sv) * (1 + tol) + tol))
     rep.check("multiplicative-weyl", ok, seed=seed)
@@ -423,6 +422,8 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     ENUM_CAP their vertex ascents climb in lockstep, each bit for bit as
     it would alone. ||R|| into l_inf is exact, and the R norms are one
     operator_norms call too, the dual norms of all their rows at once.
+    The spectra of a run's products SR are one eigenvalue_sequence call
+    on the stacked product.
     """
     rep = SuiteReport("eigen-decay", seed)
     q = float(q)
@@ -460,11 +461,9 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
         norms_S = operator_norms(S_stack, linf, lq, budget, seeds=seeds)
         norms_R = operator_norms(R_stack, lq, linf, budget, seeds=seeds)
         ks = np.arange(1, n + 1, dtype=float)
-        rs = []
-        for S, R, nS, nR in zip(S_stack, R_stack, norms_S, norms_R):
-            lam = eigenvalue_sequence(S @ R)
-            rs.append(float(np.max(ks ** (1 / q) * lam.moduli)) / (nS.value * nR.value))
-        return np.array(rs)
+        lams = eigenvalue_sequence(S_stack @ R_stack)
+        return np.array([float(np.max(ks ** (1 / q) * lam.moduli)) / (nS.value * nR.value)
+                         for lam, nS, nR in zip(lams, norms_S, norms_R)])
 
     s1, s2 = child_seeds(seed, 2)
     r1, r2 = run_trials(s1), run_trials(s2)

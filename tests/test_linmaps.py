@@ -135,6 +135,7 @@ def test_empty_stacks_give_empty_norms_and_maxima():
                 kwargs = {"scale": scale} if isinstance(signs, int) else {}
                 assert sign_norms(signs, empty, sp, **kwargs).shape == (0, 2 ** (n - 1))
         assert linmaps._sign_max(n, empty, sp) == []
+        assert linmaps._sign_sum(n, empty, sp, np.abs).shape == (0,)
         for q in (1.5, 2.0):
             assert weak_lq_upper(empty, sp, q).shape == (0,)
 
@@ -245,6 +246,33 @@ def test_sign_max_is_the_first_maximum_of_the_sign_norms(n, dim):
             assert signs.dtype == np.float64 and type(value) is float
             one_value, one_signs = linmaps._sign_max(n, config, sp)
             assert one_value == value and np.array_equal(one_signs, signs)
+
+
+def squares(v):
+    v **= 2
+    return v
+
+
+@pytest.mark.parametrize("k, n, dim", [(1, 16, 32), (5, 16, 32), (9, 4, 8), (4, 10, 30),
+                                       (2, 8, 2100)])
+def test_stacked_sign_sums_equal_the_one_config_ones(monkeypatch, k, n, dim):
+    # (k, 16, 32): a table of four 8192-row blocks, one configuration a
+    # job; (9, 4, 8) and (4, 10, 30): several whole tables a block;
+    # (2, 8, 2100): 64-row blocks, too short to sum alone
+    rng = np.random.default_rng(140 + k + n)
+    for workers in (1, 2):
+        monkeypatch.setattr(linmaps, "_WORKERS", workers)
+        for name in ("lp:3", "lorentz:2:1", "gweak:pow:0.5", "subspace"):
+            if name == "subspace" and dim > 32:
+                continue  # past 32 a taller block may round a row apart
+            sp = _enum_space(name, dim, rng)
+            stack = rng.standard_normal((k, n, dim))
+            for f in (np.abs, squares):
+                got = linmaps._sign_sum(n, stack, sp, f)
+                assert got.shape == (k,)
+                for config, total in zip(stack, got):
+                    assert total == linmaps._sign_sum(n, config, sp, f)
+                    assert total == np.sum(f(sign_norms(n, config, sp)))
 
 
 @pytest.mark.parametrize("cod", ["lp:3", "lorentz:2:1", "gweak:pow:0.5", "subspace"])

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from banachkit import (GrowthSequence, NormedSpace, constant_ledger, lp,
-                       plan_parameters, regroup_step, revalidate, run_pipeline,
-                       select_block)
+from banachkit import (GrowthSequence, NormedSpace, constant_ledger, lp, parse_space,
+                       plan_parameters, rademacher_average, regroup_step, revalidate,
+                       run_pipeline, select_block)
 from banachkit.linmaps import sign_patterns, weak_lq_upper
 from banachkit.pipeline import PlanError
 from banachkit.estimates import jsonable
+from banachkit.search import child_seeds
 
 SQRT = GrowthSequence.power(0.5)
 LEDGER = constant_ledger(SQRT, H=1.0, K=1.0)
@@ -68,6 +69,55 @@ def test_select_block_duplicated_vector_oracle():
 def test_select_block_size_guard():
     with pytest.raises(ValueError):
         select_block(np.eye(4), NormedSpace(lp(2), 4), range(4), 5, target=0.0)
+
+
+def select_block_loop(config, space, J, s, budget, seed, samples=20_000):
+    """(indices, sign average) of select_block as it read before the
+    candidates were scored as stacks: one rademacher_average each."""
+    J = sorted(int(j) for j in J)
+    s_rade, _, s_rng = child_seeds(seed, 3)
+
+    def measure(idx):
+        return rademacher_average(config[list(idx)], space, moment=1,
+                                  samples=samples, seed=s_rade)
+
+    singles = [(space.norm(config[j]), j) for j in J]
+    current = [max(singles)[1]]
+    while len(current) < s:
+        best_gain, best_j = -1.0, None
+        for j in J:
+            if j in current:
+                continue
+            v = measure(current + [j]).value
+            if v > best_gain:
+                best_gain, best_j = v, j
+        current.append(best_j)
+    best_idx = tuple(sorted(current))
+    best_val = measure(best_idx).value
+    rng = np.random.default_rng(s_rng)
+    for _ in range(max(0, budget)):
+        cand = tuple(sorted(rng.choice(J, size=s, replace=False)))
+        v = measure(cand).value
+        if v > best_val:
+            best_val, best_idx = v, cand
+    return list(best_idx), measure(best_idx)
+
+
+@pytest.mark.parametrize("name", ["lp:1:32", "lp:2:32", "lorentz:2:1:16"])
+def test_stacked_selection_equals_the_per_candidate_loop(name):
+    space = parse_space(name)
+    for seed in (0, 1, 7):
+        rng = np.random.default_rng(seed)
+        config = rng.standard_normal((32, space.dim))
+        config[3] = config[5]  # ties between candidates
+        cases = [(range(32), 4, 8), (range(3, 32, 2), 5, 0)]
+        if seed == 0:
+            cases.append((range(18), 16, 2))  # 2^15 patterns: four blocks at dim 32
+        for J, s, budget in cases:
+            sel = select_block(config, space, J, s, target=1.0, budget=budget, seed=seed)
+            indices, avg = select_block_loop(config, space, J, s, budget, seed)
+            assert sel.indices == indices
+            assert sel.average == avg
 
 
 def test_regroup_step_l1_arithmetic():

@@ -261,6 +261,49 @@ def test_eigenvalue_hand_cases():
                        [-2 * math.pi / 3, 0.0, 2 * math.pi / 3], atol=1e-8)
 
 
+def test_stacked_spectra_equal_the_one_matrix_calls():
+    rng = np.random.default_rng(13)
+    nilpotent = np.triu(rng.standard_normal((5, 5)), 1)
+    stacks = [np.zeros((0, 4, 4)), np.zeros((3, 4, 4)), nilpotent[None]]
+    for n in (1, 2, 3, 16, 32):
+        stacks.append(rng.standard_normal((6, n, n)))
+        stacks.append(rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n)))
+    stacks[-1][2] = np.diag(rng.standard_normal(32))  # a real spectrum in a complex stack
+    stacks[-2][1] = np.zeros((32, 32))
+    stacks[-2][4] = np.triu(rng.standard_normal((32, 32)), 1)
+    for stack in stacks:
+        got = eigenvalue_sequence(stack)
+        assert isinstance(got, list) and len(got) == len(stack)
+        for A, eig in zip(stack, got):
+            one = eigenvalue_sequence(A)
+            assert eig.values.dtype == one.values.dtype == np.complex128
+            assert np.array_equal(eig.values, one.values)
+            assert np.array_equal(eigenvalue_sequence(LinearMap(A, euclid(len(A)),
+                                                                euclid(len(A)))).values,
+                                  one.values)
+    assert np.array_equal(eigenvalue_sequence(nilpotent).values, np.zeros(5))
+
+
+def test_real_spectra_pair_exact_conjugates_plus_first():
+    rot = eigenvalue_sequence(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert rot.to_dict() == {"re": [0.0, 0.0], "im": [1.0, -1.0]}
+    rng = np.random.default_rng(14)
+    for n in range(2, 33):
+        for eig in eigenvalue_sequence(rng.standard_normal((8, n, n))):
+            z = eig.values
+            assert np.all(np.diff(eig.moduli) <= 0)
+            upper = np.flatnonzero(z.imag > 0)
+            # each +Im eigenvalue is followed by its exact conjugate, and
+            # every other eigenvalue is real, with Im exactly 0
+            assert np.array_equal(z[upper + 1], np.conj(z[upper]))
+            paired = np.zeros(n, dtype=bool)
+            paired[upper] = paired[upper + 1] = True
+            assert np.all(z.imag[~paired] == 0)
+            # so the spectrum is closed under conjugation exactly
+            assert sorted(np.conj(z), key=lambda w: (w.real, w.imag)) == \
+                sorted(z, key=lambda w: (w.real, w.imag))
+
+
 def test_eigenvalues_match_char_poly_oracle():
     rng = np.random.default_rng(10)
     for _ in range(50):
