@@ -23,8 +23,9 @@ from functools import partial
 import numpy as np
 
 from .estimates import AverageResult
+from .linmaps import ENUM_CAP, _chunk_norms, _sign_max, _sign_sum, sign_pattern
 # sign_patterns is unused here but stays bound: the benchmark's tracer patches it here too
-from .linmaps import ENUM_CAP, _chunk_norms, _sign_max, _sign_sum, sign_patterns  # noqa: F401
+from .linmaps import sign_patterns  # noqa: F401
 from .search import batch_forms, child_seeds, multistart_maximize
 
 __all__ = [
@@ -113,7 +114,7 @@ def rademacher_average(config, space, moment=1, samples=100_000, seed=0, enum_ca
 def _enumerated_averages(configs, space, moment, seed):
     """The exact sign averages of a (k, n, dim) stack of configurations,
     from one _sign_sum call; each is its rademacher_average within the
-    limit of linmaps.sign_norms."""
+    limit of linmaps._Blocks."""
     n = configs.shape[1]
     m = 2 ** (n - 1)
     sums = _sign_sum(n, configs, space, partial(_moments, moment=moment))
@@ -152,7 +153,8 @@ def contraction_check(config, space, budget=16, seed=0):
     n = config.shape[0]
     if n > ENUM_CAP:
         raise ValueError(f"sign enumeration capped at {ENUM_CAP} vectors")
-    sup_signs, eps = _sign_max(n, config, space)
+    value, first = _sign_max(n, config, space)
+    sup_signs, eps = float(value), sign_pattern(n, first)
 
     box_val, _ = multistart_maximize(
         **batch_forms(lambda P: (np.clip(P, -1.0, 1.0), np.ones(len(P), dtype=bool)),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimates import GaugeValue, Record
 from .growth import iterated_log, tower_index
-from .linmaps import ENUM_CAP, sign_norms, sign_weights
+from .linmaps import ENUM_CAP, _as_is, _sign_max, _sign_sum, sign_weights
 from .search import batch_forms, child_seeds, multistart_maximize
 from .sequences import rearrange
 
@@ -43,7 +43,7 @@ def _gauge_objective(tau, space, kind):
     m = tau.size
     if kind not in ("summing", "cotype"):
         raise ValueError("kind must be 'summing' or 'cotype'")
-    # the weighted sign table, built once where it fits a block of sign_norms
+    # the weighted sign table, built once where it fits a block
     signs, scale = sign_weights(m, space.dim, space, tau)
 
     def value(C):
@@ -56,8 +56,9 @@ def _gauge_objective(tau, space, kind):
         # row norms come from the same oracle as the numerator, so a
         # single unit vector scores exactly 1
         r_min = space.norm_rows(C.reshape(-1, C.shape[-1])).reshape(-1, m).min(axis=1)
-        norms = sign_norms(signs, C, space, scale=scale)
-        return (norms.max(axis=1) if kind == "summing" else norms.mean(axis=1)) / r_min
+        if kind == "summing":
+            return _sign_max(signs, C, space, scale=scale)[0] / r_min
+        return _sign_sum(signs, C, space, _as_is, scale=scale) / 2 ** (m - 1) / r_min
 
     return value
 

@@ -17,18 +17,19 @@ climb in lockstep); operator_norm is its one-map call.
 
 Every sign enumeration and Monte Carlo average of the package forms
 the product of a weight table and a configuration, or a stack of them,
-in row blocks of at most SIGN_BLOCK entries, through one job runner,
-_run_jobs, and one block product, _Blocks.norms. A job is a fill, a run
-of configurations and the blocks it runs in order on one thread: one
-block of a sign table times as many whole tables' configurations as fit
-in it, else one (sign_norms, _sign_sum, _sign_max), or one Monte Carlo
-chunk, which draws its weights block by block (_chunk_norms). A sign
-enumeration writes each block of patterns directly, so peak memory is a
-few blocks, whatever the dimension. The jobs of a large table or
-average run on the calling thread and one pool thread (see _fan_out),
-with the same results bit for bit. The exact sign maximum, with its
-first maximizing pattern, comes from _sign_max alone, which keeps each
-block's first maximum.
+in row blocks of at most SIGN_BLOCK entries (see _Blocks), through one
+job runner, _run_jobs, and one block product, _Blocks.norms, and reduces
+each block as it comes: every sign maximum in _sign_max, which keeps
+each block's first maximum, every sign sum or mean in _sign_sum, which
+sums each block, and each Monte Carlo chunk in _chunk_norms. A job is a
+fill, a run of configurations and the blocks it runs in order on one
+thread: one block of a sign table times as many whole tables'
+configurations as fit in it, else one, or one Monte Carlo chunk, which
+draws its weights block by block. A sign enumeration writes each block
+of patterns directly and no (k, 2^(n-1)) array of norms is held, so peak
+memory is a few blocks, whatever the dimension. The jobs of a large
+table or average run on the calling thread and one pool thread (see
+_fan_out), with the same results bit for bit.
 """
 
 import math
@@ -45,12 +46,12 @@ from .search import (_scaled_rows, batch_forms, best_start, child_seeds, multist
 from .spaces import lp
 
 __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual_norm",
-           "weak_lq_functional", "ENUM_CAP", "sign_norms", "sign_pattern", "sign_weights"]
+           "weak_lq_functional", "ENUM_CAP", "sign_pattern", "sign_weights"]
 
 #: sign patterns are enumerated exactly up to this many vectors
 ENUM_CAP = 20
 
-#: entries of signs @ config that sign_norms holds at once
+#: entries of the widest array formed on one block (see _Blocks)
 SIGN_BLOCK = 1 << 18
 
 #: entries per norm_rows block of the vertex ascent, which makes several
@@ -168,9 +169,9 @@ def _spans(m, rows):
     return list(zip([0, *stops], [*stops, m]))
 
 
-def _keep(buf):
+def _as_is(buf):
     """buf itself: the prepare of a table or a Monte Carlo chunk, whose
-    blocks share nothing."""
+    blocks share nothing, and the f of a plain _sign_sum."""
     return buf
 
 
@@ -205,13 +206,13 @@ def _pattern_fill(n, rows, scale):
 
 
 def _weight_fill(signs, m, rows, scale):
-    """(spans, prepare, fill) of the m-row weight table W that signs gives
-    (see sign_norms), in blocks of `rows` rows: spans lists the (start,
-    stop) rows of its blocks; prepare(buf), run on the calling thread,
-    writes into a working buffer what every block shares; fill(start,
-    stop, buf) returns that block of W, written into buf unless it is a
-    view of W. An int whose table fits in one block is that table, built
-    here; a larger one is streamed (see _pattern_fill)."""
+    """(spans, prepare, fill) of the m-row weight table W that signs and
+    scale give (see _sign_sum), in blocks of `rows` rows: spans lists the
+    (start, stop) rows of its blocks; prepare(buf), run on the calling
+    thread, writes into a working buffer what every block shares;
+    fill(start, stop, buf) returns that block of W, written into buf
+    unless it is a view of W. An int whose table fits in one block is
+    that table, built here; a larger one is streamed (see _pattern_fill)."""
     if isinstance(signs, (int, np.integer)):
         if m > rows:
             return _pattern_fill(int(signs), rows, scale)
@@ -226,7 +227,7 @@ def _weight_fill(signs, m, rows, scale):
             block = buf[:stop - start]
         return block
 
-    return _spans(m, rows), _keep, fill
+    return _spans(m, rows), _as_is, fill
 
 
 def _drawn(draw, start, stop, buf):
@@ -237,24 +238,24 @@ def _drawn(draw, start, stop, buf):
 
 
 def _block_rows(width):
-    """Rows per block of sign_norms when its widest row holds `width`
+    """Rows per block when the widest row formed on it holds `width`
     entries: the largest power of two that keeps a block in SIGN_BLOCK."""
     return 1 << (max(1, SIGN_BLOCK // width).bit_length() - 1)
 
 
 def _width(n, dim, space):
-    """The widest row sign_norms forms on (n, dim) configurations: the
+    """The widest row a block of (n, dim) configurations forms: the
     weights, their product, or the rows space.norm_rows forms from it."""
     return max(n, dim, space.row_width)
 
 
 def sign_weights(n, dim, space, scale=None):
-    """(signs, scale) for sign_norms calls on (n, dim) configurations, or
-    stacks of them, that share the table sign_patterns(n) * scale (scale
-    None: the signs): the table itself, built once, with scale None where
-    it fits in one block of those calls; else n and scale, and each call
-    streams the table (see _pattern_fill). Either way a call gives the
-    same norms bit for bit."""
+    """(signs, scale) for _sign_max and _sign_sum calls on (n, dim)
+    configurations, or stacks of them, that share the table
+    sign_patterns(n) * scale (scale None: the signs): the table itself,
+    built once, with scale None where it fits in one block of those calls;
+    else n and scale, and each call streams the table (see _pattern_fill).
+    Either way a call gives the same result bit for bit."""
     if n < 1 or 2 ** (n - 1) > _block_rows(_width(n, dim, space)):
         return n, scale
     table = sign_patterns(n)
@@ -262,12 +263,31 @@ def sign_weights(n, dim, space, scale=None):
 
 
 class _Blocks:
-    """The blocks of sign_norms on a (k, n, dim) stack of configurations
-    and an m-row weight table W (see sign_norms): the widest row formed,
-    the rows per block (the largest power of two whose widest array fits
-    in SIGN_BLOCK entries), the configurations a block multiplies (as
-    many whole tables as fit, else one), the row-norm kernel and working
-    arrays. They are made on the calling thread; norms then calls no
+    """The blocks of the products W @ config of a (k, n, dim) stack of
+    configurations and an m-row weight table W (see _sign_sum).
+
+    Each block holds at most SIGN_BLOCK entries of the widest array
+    formed on it: the block of weights, W @ config, or the rows
+    space.norm_rows forms from that (a subspace maps them into its
+    ambient space). The rows per block are a power of two, which splits a
+    sign table into equal blocks; a one-row tail joins the block before
+    it, since numpy hands a one-row product to gemv, which rounds
+    differently from gemm. Up to a few hundred coordinates the row norms
+    then equal those of the one-shot space.norm_rows(W @ config) bit for
+    bit; past that BLAS may round a block in another order. A block
+    multiplies as many whole tables, one per configuration of a stack, as
+    fit in it, else one configuration's rows; each configuration's
+    product is its own, so a stack gives the norms of its configurations
+    one by one, bit for bit within the same limit, but for a
+    SubspaceSpace of dimension 33 or more: its norm_rows multiplies a
+    whole block by the basis in one gemm, and BLAS may round a row apart
+    with the block's height at such inner dimensions (18 to 28 of 2,072
+    norms of a stack came out apart at dimensions 33 to 65, none at 5 and
+    16).
+
+    The plan holds the widest row formed, the rows per block, the
+    configurations a block multiplies, the row-norm kernel and working
+    arrays. It is made on the calling thread; norms then calls no
     function of the package that is not private, so any thread may run
     it."""
 
@@ -310,7 +330,7 @@ class _Blocks:
         return self.kernel(block.reshape(-1, dim)).reshape(k, -1)
 
 
-def _run_jobs(plan, jobs, reduce, threads, prepare=_keep, gather=0):
+def _run_jobs(plan, jobs, reduce, threads, prepare=_as_is, gather=0):
     """[reduce(norms, c, start) for each job (fill, c, spans)], with norms
     the (configurations, rows) row norms of the rows of W @ plan.config[c:
     c + plan.per] that spans lists, in order, start the first of them, and
@@ -320,7 +340,11 @@ def _run_jobs(plan, jobs, reduce, threads, prepare=_keep, gather=0):
     the calling thread. A job of one span hands its fresh norms straight
     to reduce; a longer one, of one configuration and at most `gather`
     rows, gathers them first. reduce may work in its argument in place,
-    on either thread."""
+    on either thread. Each block keeps its rows and its place, so the
+    results do not depend on the thread count. A thread's working array
+    is reused for every block it takes (blocks taken afresh went back to
+    the operating system between uses and faulted their pages in again),
+    and the space works in each product in place."""
     works = []
     for _ in range(threads):
         buf, prod = plan.work()
@@ -340,132 +364,92 @@ def _run_jobs(plan, jobs, reduce, threads, prepare=_keep, gather=0):
     return _fan_out(run, len(jobs), works)
 
 
-def _sign_sum(n, config, space, f):
-    """np.sum(f(sign_norms(n, config, space))) bit for bit, for an f that
-    works elementwise in place (f runs on any thread), or the sums of a
-    (k, n, dim) stack, each its one-configuration call within the limit
-    of sign_norms (not always into a SubspaceSpace of dimension 33 or
-    more).
+def _sign_sum(signs, config, space, f, *, scale=None):
+    """np.sum(f(space.norm_rows(W @ config))) for a weight table W, in row
+    blocks (see _Blocks), for an f that works elementwise in place (f
+    runs on any thread; _as_is for the plain sum), or the sums of a
+    (k, n, dim) stack, each its one-configuration call; bit for bit
+    within the limit of _Blocks. Divided by len(W), a sum is the mean.
+
+    signs gives W in one of two ways, and _sign_max takes it alike:
+      - an int n: the table sign_patterns(n), or sign_patterns(n) * scale
+        given a length-n scale, written block by block and never built
+        whole unless it fits in one block (see _weight_fill). Calls that
+        share one such table take it from sign_weights, built once where
+        it fits one block;
+      - a 2-d array: W itself, such as a weighted sign table or a drawn
+        sample. Monte Carlo chunks, which draw W block by block, take the
+        same blocks through _chunk_norms.
 
     numpy sums a float64 vector pairwise, halving it down to runs of 128
-    entries. Blocks of a power of two rows, at least 128, are whole
-    subtrees of that sum, so each block is summed alone, one job per
-    block and run of configurations, and each configuration's block sums
-    are added pairwise, without the (k, 2^(n-1)) norms. Shorter blocks of
-    a table of several gather a configuration's norms first.
+    entries. Equal blocks of a power of two rows, at least 128, of a
+    table of a power of two rows are whole subtrees of that sum, so each
+    is summed alone, one job per block and run of configurations, and
+    each configuration's block sums are added pairwise, without the
+    (k, len(W)) norms. Every other table of several blocks (shorter
+    blocks, another length, a joined one-row tail) gathers each
+    configuration's norms first.
     """
-    m = 2 ** (n - 1)
+    m = 2 ** (signs - 1) if isinstance(signs, (int, np.integer)) else len(signs)
     plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
-    spans, prepare, fill = _weight_fill(n, m, plan.rows, None)
+    spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
     k = len(plan.config)
-    whole = len(spans) > 1 and plan.rows < 128
+    whole = len(spans) > 1 and (m & (m - 1) or plan.rows < 128)
     jobs = [(fill, c, spans) for c in range(k)] if whole else plan.jobs(fill, spans)
-    sums = np.empty((k, 1 if whole else len(spans)))  # one column per block
+    sums = np.empty((1 if whole else len(spans), k))  # one row per block
 
     def add(norms, c, start):
-        sums[c:c + len(norms), start // plan.rows] = np.sum(f(norms), axis=1)
+        np.add.reduce(f(norms), axis=1, out=sums[start // plan.rows, c:c + len(norms)])
 
     _run_jobs(plan, jobs, add, plan.threads(m), prepare, gather=m if whole else 0)
-    while sums.shape[1] > 1:
-        sums = sums[:, 0::2] + sums[:, 1::2]
-    return sums[:, 0] if config.ndim == 3 else sums[0, 0]
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0] if config.ndim == 3 else sums[0, 0]
 
 
 def _chunk_norms(draws, counts, config, space, reduce):
     """[reduce(norms) for each draw and count], reduce working in place on
     any thread: norms are the count row norms of W @ config, bit for bit
-    (see sign_norms), with draw(block) filling the float block with the
-    next rows of W, block after block in order, as a Monte Carlo chunk
-    drawn from its own generator. Each chunk is one job (see _run_jobs);
-    two or more run on plan.threads(rows in all) threads."""
+    (see _Blocks), with draw(block) filling the float block with the next
+    rows of W, block after block in order, as a Monte Carlo chunk drawn
+    from its own generator. Each chunk is one job (see _run_jobs); two or
+    more run on plan.threads(rows in all) threads."""
     plan = _Blocks(config[None], space, max(counts))
     jobs = [(partial(_drawn, draw), 0, _spans(m, plan.rows)) for draw, m in zip(draws, counts)]
     return _run_jobs(plan, jobs, lambda v, c, start: reduce(v[0]),
                      plan.threads(sum(counts)) if len(counts) > 1 else 1, gather=max(counts))
 
 
-def sign_norms(signs, config, space, *, scale=None):
-    """space.norm_rows(W @ config) for a weight table W, in row blocks.
-
-    signs gives W in one of two ways:
-      - an int n: the table sign_patterns(n), or sign_patterns(n) * scale
-        given a length-n scale, written block by block and never built
-        whole unless it fits in one block (see _weight_fill);
-        sign_pattern(n, i) rebuilds row i, such as the row of a maximum.
-        Calls that share one such table take it from sign_weights, built
-        once where it fits one block;
-      - a 2-d array: W itself, such as a weighted sign table.
-    Monte Carlo chunks, which draw W block by block, take the same
-    blocks through _chunk_norms.
-
-    config is one (n, dim) configuration, or a (k, n, dim) stack of them;
-    a stack gives the (k, len(W)) norms of each configuration.
-
-    Each block holds at most SIGN_BLOCK entries of the widest array
-    formed on it: the block of weights, W @ config, or the rows
-    space.norm_rows forms from that (a subspace maps them into its
-    ambient space). The rows per block are a power of two, which splits
-    a sign table into equal blocks; a one-row tail joins the block before
-    it, since numpy hands a one-row product to gemv, which rounds
-    differently from gemm. Up to a few hundred coordinates the row norms
-    then equal those of the one-shot product bit for bit; past that BLAS
-    may round a block in another order. A block multiplies as many whole
-    tables, one per configuration of a stack, as fit in it, else one
-    configuration's rows (see _Blocks); each configuration's product is
-    its own, so a stack gives the norms of its configurations one by one,
-    bit for bit within the same limit, but for a SubspaceSpace of
-    dimension 33 or more: its norm_rows multiplies a whole block by the
-    basis in one gemm, and BLAS may round a row apart with the block's
-    height at such inner dimensions (18 to 28 of 2,072 norms of a stack
-    came out apart at dimensions 33 to 65, none at 5 and 16).
-
-    A table of at least four blocks of entries runs on two threads, the
-    calling thread and one pool thread, where the process may use two
-    CPUs; there is no setting for it. Each block keeps its rows and its
-    place, so the norms are those of one thread bit for bit. Each thread
-    works in one working array, for the weight block and the product,
-    allocated on the calling thread and reused for every block it takes:
-    blocks of this size taken afresh each time went back to the operating
-    system between uses and faulted their pages in again. The space works
-    in each product in place. So peak memory is a few blocks, whatever
-    the dimension.
-    """
-    m = 2 ** (signs - 1) if isinstance(signs, (int, np.integer)) else signs.shape[0]
+def _sign_max(signs, config, space, *, scale=None):
+    """(values, firsts): the largest row norm of W @ config and the first
+    row that reaches it, signs and scale giving W as for _sign_sum; for a
+    (k, n, dim) stack two length-k arrays, for one (n, dim) configuration
+    two scalars. Over the sign table, the exact sign maximum
+    sup_eps ||sum_k eps_k x_k||, and sign_pattern(n, first) its signs.
+    Each block writes the first maximum of each configuration it
+    multiplies, and a configuration takes the first block that holds its
+    largest, so no (k, len(W)) array of norms is held; each value is the
+    max of the one-shot norms, and its one-configuration call, bit for bit
+    within the limit of _Blocks."""
+    m = 2 ** (signs - 1) if isinstance(signs, (int, np.integer)) else len(signs)
     plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
     spans, prepare, fill = _weight_fill(signs, m, plan.rows, scale)
-    out = np.empty((len(plan.config), m))
-
-    def write(norms, c, start):
-        out[c:c + len(norms), start:start + norms.shape[1]] = norms
-
-    _run_jobs(plan, plan.jobs(fill, spans), write, plan.threads(m), prepare)
-    return out if config.ndim == 3 else out[0]
-
-
-def _sign_max(n, config, space):
-    """(value, first maximizing row of sign_patterns(n)) of the sign norms
-    of one (n, dim) configuration, or a list of them for a (k, n, dim)
-    stack: the exact sign maximum sup_eps ||sum_k eps_k x_k||. Each block
-    keeps the first maximum of each configuration it multiplies, and a
-    configuration takes the first block that holds its largest, so no
-    (k, 2^(n-1)) array of norms is held, and each value equals its
-    one-configuration call within the limit of sign_norms: not always
-    into a SubspaceSpace of dimension 33 or more."""
-    m = 2 ** (n - 1)
-    plan = _Blocks(config if config.ndim == 3 else config[None], space, m)
-    spans, prepare, fill = _weight_fill(n, m, plan.rows, None)
+    k = len(plan.config)
+    values = np.empty((len(spans), k))  # one row per block
+    firsts = np.empty((len(spans), k), dtype=np.intp)
 
     def first_max(norms, c, start):
-        i = norms.argmax(axis=1)
-        return norms[np.arange(len(i)), i], i + start
+        b, rows = start // plan.rows, slice(c, c + len(norms))
+        np.maximum.reduce(norms, axis=1, out=values[b, rows])
+        norms.argmax(axis=1, out=firsts[b, rows])  # within the block
 
-    found = _run_jobs(plan, plan.jobs(fill, spans), first_max, plan.threads(m), prepare)
-    out = []
-    for g in range(0, len(found), len(spans)):  # the blocks of one run of configurations
-        values, firsts = (np.array(a) for a in zip(*found[g:g + len(spans)]))
-        for c, b in enumerate(values.argmax(axis=0)):
-            out.append((float(values[b, c]), sign_pattern(n, firsts[b, c])))
-    return out if config.ndim == 3 else out[0]
+    _run_jobs(plan, plan.jobs(fill, spans), first_max, plan.threads(m), prepare)
+    if len(spans) == 1:
+        values, firsts = values[0], firsts[0]
+    else:  # the first block holding each largest, which starts at row b * plan.rows
+        b, c = values.argmax(axis=0), np.arange(k)
+        values, firsts = values[b, c], firsts[b, c] + b * plan.rows
+    return (values, firsts) if config.ndim == 3 else (values[0], firsts[0])
 
 
 class LinearMap:
@@ -740,6 +724,13 @@ def _l1_columns(A, dom, cod, *_):
     return out
 
 
+def _enumeration(A, dom, cod, *_):
+    """The sign maximum of the columns of each map, with the first
+    maximizing vertex of the cube as witness."""
+    values, firsts = _sign_max(dom.dim, A.transpose(0, 2, 1), cod)
+    return [(v, sign_pattern(dom.dim, i)) for v, i in zip(values, firsts)]
+
+
 def _linf_rows(A, dom, *_):
     """One dual_upper_rows over the rows of every map: the closed forms of
     dual_exact, row-wise."""
@@ -792,7 +783,7 @@ def _searches(A, dom, cod, budget, seeds, vt=None):
 #:     the largest dual norm of a row, exact.
 #:   - enumeration: domain l_inf with at most ENUM_CAP coordinates, every
 #:     vertex of the cube, exact: one _sign_max over the stack, the columns
-#:     of each map one configuration.
+#:     of each map one configuration (_enumeration).
 #:   - vertex-ascent: a larger l_inf domain and a normed codomain, where a
 #:     convex norm of A x peaks at a vertex: the maps climb the cube's
 #:     vertices in lockstep in one _vertex_ascents call, a witnessed lower
@@ -806,7 +797,7 @@ _ROUTES = (
     ("l1-columns", EXACT, lambda dom, cod: dom.is_l1, _l1_columns),
     ("linf-rows", EXACT, lambda dom, cod: cod.is_linf and dom.has_exact_dual, _linf_rows),
     ("enumeration", EXACT, lambda dom, cod: dom.is_linf and dom.dim <= ENUM_CAP,
-     lambda A, dom, cod, *_: _sign_max(dom.dim, A.transpose(0, 2, 1), cod)),
+     _enumeration),
     ("vertex-ascent", LOWER, lambda dom, cod: dom.is_linf and not cod.is_quasi,
      lambda A, dom, cod, budget, seeds, vt: _vertex_ascents(A, cod, budget, seeds, vt)),
     ("search", LOWER, lambda dom, cod: True, _searches),
@@ -853,7 +844,7 @@ def weak_lq_upper(config, space, q, signs=None):
 
     config is one (n, dim) configuration, or a (k, n, dim) stack of
     them with one bound each; the vector norms come from norm_rows.
-    signs is what the sign sup hands sign_norms: by default n, or
+    signs is what the sign sup hands _sign_max: by default n, or
     sign_weights(n, dim, space)[0], a table that calls on configurations
     of one shape share, with the same bound bit for bit.
     """
@@ -872,7 +863,7 @@ def weak_lq_upper(config, space, q, signs=None):
         if n <= ENUM_CAP:
             # weak-1 moment equals the sign sup of the configuration, and
             # dominates every weak-q moment for q >= 1
-            bounds.append(sign_norms(n if signs is None else signs, config, space).max(axis=-1))
+            bounds.append(_sign_max(n if signs is None else signs, config, space)[0])
         bound = np.minimum.reduce(bounds, axis=0)
     return bound if stacked else float(bound)
 
@@ -903,9 +894,9 @@ def weak_lq_functional(config, space, q, budget=32, seed=0):
                         meta={"upper": float(s[0])})
 
     if q == 1.0 and n <= ENUM_CAP:
-        v, signs = _sign_max(n, config, space)
-        return Estimate(v, EXACT, witness={"signs": signs}, budget=0, seed=seed,
-                        meta={"upper": v})
+        v, first = _sign_max(n, config, space)
+        return Estimate(float(v), EXACT, witness={"signs": sign_pattern(n, first)}, budget=0,
+                        seed=seed, meta={"upper": float(v)})
 
     upper = weak_lq_upper(config, space, q)
     moment = lp(q)

@@ -16,7 +16,7 @@ import numpy as np
 from .averages import _draw_gaussians, _draw_signs, gaussian_average, rademacher_average
 from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
-from .linmaps import ENUM_CAP, identity_map, sign_norms, sign_weights, weak_lq_upper
+from .linmaps import ENUM_CAP, _as_is, _sign_sum, identity_map, sign_weights, weak_lq_upper
 from .search import _scaled_rows, batch_forms, child_seeds, multistart_maximize
 from .snumbers import _approx_lower_from_l2, _coordinate_frames
 from .spaces import gweak, lp
@@ -146,8 +146,9 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     use_enum = variable == "rademacher" and n <= ENUM_CAP
     if use_enum:
         # the sign table, built once for every candidate where it fits a block
-        draws = sign_weights(n, X.dim, X)[0]
+        draws, count = sign_weights(n, X.dim, X)[0], 2 ** (n - 1)
     else:
+        count = samples
         draws = np.empty((samples, n))
         sampler = _draw_gaussians if variable == "gaussian" else _draw_signs
         sampler(np.random.default_rng(s_search), draws)
@@ -155,10 +156,10 @@ def cotype_q_constant(X, q, n, budget=32, seed=0, variable="rademacher",
     strong = lp(q)
 
     # every candidate meets the same sign patterns, or the same sample
-    # (common random numbers), through sign_norms
+    # (common random numbers), through one sign sum
     def score(C):
         num = strong.norm_rows(X.norm_rows(C.reshape(-1, X.dim)).reshape(-1, n))
-        return num / sign_norms(draws, C, X).mean(axis=1)
+        return num / (_sign_sum(draws, C, X, _as_is) / count)
 
     val, wit = _config_search(score, X, n, budget, seed)
 

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identit
                        lorentz, lp, operator_norm, parse_space, rademacher_average,
                        weak_lq_functional)
 from banachkit import linmaps
-from banachkit.linmaps import (SIGN_BLOCK, _chunk_norms, operator_norms, sign_norms,
+from banachkit.linmaps import (SIGN_BLOCK, _chunk_norms, _sign_max, _sign_sum, operator_norms,
                                sign_pattern, sign_patterns, sign_weights, weak_lq_upper)
 from banachkit.search import child_seeds, multistart_maximize, split_budget
 from banachkit.summing import pi_pq_n
@@ -17,6 +18,35 @@ from banachkit.summing import pi_pq_n
 
 def space(p, n):
     return NormedSpace(lp(p), n)
+
+
+def block_sign_norms(signs, config, sp, scale=None):
+    """The row norms of W @ config, with signs and scale giving W as for
+    linmaps._sign_sum, in the row blocks of linmaps._Blocks, each block
+    the products of as many whole tables as fit, else of one
+    configuration: the reference of _sign_max and _sign_sum where the
+    one-shot sp.norm_rows(W @ config) may round apart from the blocks."""
+    W = sign_patterns(signs) if isinstance(signs, int) else signs
+    stack = config if config.ndim == 3 else config[None]
+    rows = linmaps._block_rows(linmaps._width(*stack.shape[1:], sp))
+    per = max(1, rows // len(W))  # whole tables per block
+    out = np.empty((len(stack), len(W)))
+    for start, stop in linmaps._spans(len(W), rows):
+        block = W[start:stop].astype(float) if scale is None else W[start:stop] * scale
+        for c in range(0, len(stack), per):
+            prods = np.concatenate([block @ x for x in stack[c:c + per]])
+            out[c:c + per, start:stop] = sp.norm_rows(prods).reshape(-1, stop - start)
+    return out if config.ndim == 3 else out[0]
+
+
+def first_max(norms):
+    """The (value, first row) of the largest of each row of norms, as
+    _sign_max gives them."""
+    return norms.max(axis=-1), norms.argmax(axis=-1)
+
+
+def same_max(got, want):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
 
 
 def test_sign_patterns_shape_and_symmetry():
@@ -56,9 +86,14 @@ def test_sign_norms_match_the_one_shot_product(family):
     assert 3 * rows < signs.shape[0] < 4 * rows
     tau = rng.uniform(0.1, 2.0, 15)
     for table in (signs, signs * tau):
-        got = sign_norms(table, config, sp)
-        assert got.shape == (table.shape[0],)
-        assert np.array_equal(got, sp.norm_rows(table @ config))
+        # a table of a length not a power of two sums each norm in its place
+        want = sp.norm_rows(table @ config)
+        assert same_max(_sign_max(table, config, sp), first_max(want))
+        assert _sign_sum(table, config, sp, np.abs) == np.sum(want)
+        stack = np.stack([config, -config[::-1]])
+        want = np.array([want, sp.norm_rows(table @ stack[1])])
+        assert same_max(_sign_max(table, stack, sp), first_max(want))
+        assert _sign_sum(table, stack, sp, np.abs).tobytes() == np.sum(want, axis=1).tobytes()
 
 
 def test_sign_average_memory_stays_bounded():
@@ -105,23 +140,31 @@ def test_stacked_sign_norms_equal_the_one_config_ones(k, n, dim):
         spaces.append(SubspaceSpace(rng.standard_normal((dim + 5, dim)),
                                     parse_space(f"lp:3:{dim + 5}")))
     for sp in spaces:
-        for signs in (table, table * tau):
-            got = sign_norms(signs, stack, sp)
-            assert got.shape == (k, signs.shape[0])
-            for c, row in zip(stack, got):
-                assert np.array_equal(row, sign_norms(signs, c, sp))
+        for signs, scale in ((table, None), (table * tau, None), (n, tau)):
+            want = block_sign_norms(signs, stack, sp, scale)
+            values, firsts = _sign_max(signs, stack, sp, scale=scale)
+            assert values.shape == firsts.shape == (k,)
+            assert same_max((values, firsts), first_max(want))
+            sums = _sign_sum(signs, stack, sp, squares, scale=scale)
+            assert sums.tobytes() == np.sum(want**2, axis=1).tobytes()
+            for c, value, first, total in zip(stack, values, firsts, sums):
+                assert same_max(_sign_max(signs, c, sp, scale=scale), (value, first))
+                assert _sign_sum(signs, c, sp, squares, scale=scale) == total
 
 
 def test_stacked_sign_norms_memory_stays_bounded():
     stack = np.random.default_rng(9).standard_normal((2, 16, 512))
-    tracemalloc.start()
-    try:
-        sign_norms(sign_patterns(16), stack, parse_space("lp:3:512"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one stacked product would be 2 x 2^15 x 512 floats (268 MB)
-    assert peak < 64 * 2**20
+    sp = parse_space("lp:3:512")
+    for reduce in (lambda: _sign_max(sign_patterns(16), stack, sp),
+                   lambda: _sign_sum(sign_patterns(16), stack, sp, np.abs)):
+        tracemalloc.start()
+        try:
+            reduce()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one stacked product would be 2 x 2^15 x 512 floats (268 MB)
+        assert peak < 64 * 2**20
 
 
 def test_empty_stacks_give_empty_norms_and_maxima():
@@ -131,11 +174,10 @@ def test_empty_stacks_give_empty_norms_and_maxima():
         sp = parse_space(name)
         empty = np.empty((0, n, dim))
         for scale in (None, np.linspace(0.5, 1.5, n)):
-            for signs in (n, sign_weights(n, dim, sp, scale)[0]):
-                kwargs = {"scale": scale} if isinstance(signs, int) else {}
-                assert sign_norms(signs, empty, sp, **kwargs).shape == (0, 2 ** (n - 1))
-        assert linmaps._sign_max(n, empty, sp) == []
-        assert linmaps._sign_sum(n, empty, sp, np.abs).shape == (0,)
+            for signs, shared in (sign_weights(n, dim, sp, scale), (n, scale)):
+                values, firsts = _sign_max(signs, empty, sp, scale=shared)
+                assert values.shape == firsts.shape == (0,)
+                assert _sign_sum(signs, empty, sp, np.abs, scale=shared).shape == (0,)
         for q in (1.5, 2.0):
             assert weak_lq_upper(empty, sp, q).shape == (0,)
 
@@ -181,12 +223,15 @@ def test_table_free_enumeration_equals_the_table(n):
         for name in ENUM_SPACES:
             sp = _enum_space(name, dim, rng)
             config = rng.standard_normal((n, dim))
-            got = sign_norms(n, config, sp)
-            assert got.tobytes() == sign_norms(table, config, sp).tobytes()
+            configs = [config]
             if n < 20 and dim < 300:
-                stack = rng.standard_normal((3, n, dim))
-                assert (sign_norms(n, stack, sp).tobytes()
-                        == sign_norms(table, stack, sp).tobytes())
+                configs.append(rng.standard_normal((3, n, dim)))
+            for x in configs:
+                want = block_sign_norms(table, x, sp)
+                for signs in (n, table):
+                    assert same_max(_sign_max(signs, x, sp), first_max(want))
+                    assert (np.asarray(_sign_sum(signs, x, sp, np.abs)).tobytes()
+                            == np.sum(want, axis=-1).tobytes())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 20])
@@ -205,12 +250,12 @@ def test_enumerated_witnesses_are_the_table_rows_of_the_maximum(n):
     table = sign_patterns(n)
     A = rng.standard_normal((4, n))
     est = operator_norm(LinearMap(A, space(math.inf, n), space(1.5, 4)))
-    vals = sign_norms(table, A.T, space(1.5, 4))
+    vals = space(1.5, 4).norm_rows(table @ A.T)
     assert est.meta["route"] == "enumeration" and est.value == vals.max()
     assert np.array_equal(est.witness, table[np.argmax(vals)])
     config = rng.standard_normal((n, 3))
     weak = weak_lq_functional(config, space(3, 3), 1)
-    vals = sign_norms(table, config, space(3, 3))
+    vals = space(3, 3).norm_rows(table @ config)
     assert weak.direction == "exact" and weak.value == vals.max()
     assert np.array_equal(weak.witness["signs"], table[np.argmax(vals)])
 
@@ -238,14 +283,13 @@ def test_sign_max_is_the_first_maximum_of_the_sign_norms(n, dim):
         # ties: patterns i and i + 2^(n-2), in different blocks at (14, 40),
         # where the first block must win (n = 1 has no second vector)
         stack[2, 1:2] = 0.0
-        found = linmaps._sign_max(n, stack, sp)
-        assert len(found) == len(stack)
-        for config, (value, signs) in zip(stack, found):
+        values, firsts = _sign_max(n, stack, sp)
+        assert values.shape == firsts.shape == (len(stack),)
+        assert values.dtype == np.float64 and firsts.dtype == np.intp
+        for config, value, first in zip(stack, values, firsts):
             ref_value, ref_signs = first_sign_max(n, config, sp)
-            assert value == ref_value and np.array_equal(signs, ref_signs)
-            assert signs.dtype == np.float64 and type(value) is float
-            one_value, one_signs = linmaps._sign_max(n, config, sp)
-            assert one_value == value and np.array_equal(one_signs, signs)
+            assert value == ref_value and np.array_equal(sign_pattern(n, first), ref_signs)
+            assert _sign_max(n, config, sp) == (value, first)
 
 
 def squares(v):
@@ -268,11 +312,11 @@ def test_stacked_sign_sums_equal_the_one_config_ones(monkeypatch, k, n, dim):
             sp = _enum_space(name, dim, rng)
             stack = rng.standard_normal((k, n, dim))
             for f in (np.abs, squares):
-                got = linmaps._sign_sum(n, stack, sp, f)
+                got = _sign_sum(n, stack, sp, f)
                 assert got.shape == (k,)
                 for config, total in zip(stack, got):
-                    assert total == linmaps._sign_sum(n, config, sp, f)
-                    assert total == np.sum(f(sign_norms(n, config, sp)))
+                    assert total == _sign_sum(n, config, sp, f)
+                    assert total == np.sum(f(block_sign_norms(n, config, sp)))
 
 
 @pytest.mark.parametrize("cod", ["lp:3", "lorentz:2:1", "gweak:pow:0.5", "subspace"])
@@ -288,7 +332,7 @@ def test_enumeration_route_equals_a_loop_of_operator_norm(cod):
             assert est.meta["route"] == "enumeration"
             assert same_estimate(est, ref)
             # the one-map enumeration of each map's columns, as the route took it
-            vals = sign_norms(N, A.T, cod_n)
+            vals = block_sign_norms(N, A.T, cod_n)
             j = int(np.argmax(vals))
             assert est.value == vals[j]
             assert est.witness.tobytes() == sign_pattern(N, j).tobytes()
@@ -313,23 +357,25 @@ def test_fanned_out_sign_norms_equal_one_thread(monkeypatch, n, dim):
         got = {}
         for workers in (1, 2):
             monkeypatch.setattr(linmaps, "_WORKERS", workers)
-            got[workers] = [sign_norms(n, config, sp, scale=tau).tobytes() for tau in scales]
+            got[workers] = [(*_sign_max(n, config, sp, scale=tau),
+                             _sign_sum(n, config, sp, np.abs, scale=tau)) for tau in scales]
         assert got[1] == got[2]
 
 
 def test_scaled_patterns_equal_the_weighted_table():
-    # the gauge's table, scaled block by block inside sign_norms
+    # the gauge's table, scaled block by block inside the sign reductions
     rng = np.random.default_rng(95)
     for n, dim in ((3, 5), (15, 40), (16, 300), (17, 12)):
         sp = parse_space(f"lorentz:2:1:{dim}")
         tau = rng.uniform(0.1, 2.0, n)
         table = sign_patterns(n) * tau
-        config = rng.standard_normal((n, dim))
-        assert (sign_norms(n, config, sp, scale=tau).tobytes()
-                == sign_norms(table, config, sp).tobytes())
-        stack = rng.standard_normal((2, n, dim))
-        assert (sign_norms(n, stack, sp, scale=tau).tobytes()
-                == sign_norms(table, stack, sp).tobytes())
+        for x in (rng.standard_normal((n, dim)), rng.standard_normal((2, n, dim))):
+            want = block_sign_norms(table, x, sp)
+            for signs, scale in ((n, tau), (table, None)):
+                # the old sign_norms(...).max(axis=-1) and .mean(axis=-1)
+                assert same_max(_sign_max(signs, x, sp, scale=scale), first_max(want))
+                mean = _sign_sum(signs, x, sp, linmaps._as_is, scale=scale) / len(table)
+                assert np.asarray(mean).tobytes() == want.mean(axis=-1).tobytes()
 
 
 class PoolFailure(RuntimeError):
@@ -355,14 +401,17 @@ def test_an_error_in_the_pool_thread_is_raised_and_the_pool_recovers(monkeypatch
             return norms(m)
         return rows
 
-    monkeypatch.setattr(NormedSpace, "_row_kernel", failing)
-    with pytest.raises(PoolFailure):
-        sign_norms(16, config, sp)
-    assert pool_ran.is_set()
-    monkeypatch.setattr(NormedSpace, "_row_kernel", kernel)
-    got = sign_norms(16, config, sp)
-    monkeypatch.setattr(linmaps, "_WORKERS", 1)
-    assert got.tobytes() == sign_norms(16, config, sp).tobytes()
+    for reduce in (partial(_sign_max, 16), partial(_sign_sum, 16, f=np.abs)):
+        monkeypatch.setattr(linmaps, "_WORKERS", 2)
+        monkeypatch.setattr(NormedSpace, "_row_kernel", failing)
+        pool_ran.clear()
+        with pytest.raises(PoolFailure):
+            reduce(config, sp)
+        assert pool_ran.is_set()
+        monkeypatch.setattr(NormedSpace, "_row_kernel", kernel)
+        got = reduce(config, sp)
+        monkeypatch.setattr(linmaps, "_WORKERS", 1)
+        assert got == reduce(config, sp)
 
 
 def test_weight_tables_join_a_one_row_tail_to_the_block_before():
@@ -380,8 +429,10 @@ def test_weight_tables_join_a_one_row_tail_to_the_block_before():
 
     drawn = _chunk_norms([draw], [4097], config, sp, np.copy)[0]
     assert calls == [4097]
-    assert drawn.tobytes() == sign_norms(table, config, sp).tobytes()
     assert drawn.tobytes() == sp.norm_rows(table @ config).tobytes()
+    # the table's own blocks are the same: one sum of all 4097 norms
+    assert _sign_sum(table, config, sp, np.abs) == np.sum(drawn)
+    assert same_max(_sign_max(table, config, sp), first_max(drawn))
 
 
 def test_operator_norm_exact_routes():
@@ -547,7 +598,7 @@ def test_vertex_ascent_against_enumeration(N):
     for seed in range(40):
         A = np.random.default_rng(100 + seed).standard_normal((8, N))
         value, _ = linmaps._vertex_ascents(A[None], cod, 16, [seed])[0]
-        ratios.append(value / np.max(sign_norms(sign_patterns(N), A.T, cod)))
+        ratios.append(value / _sign_max(N, A.T, cod)[0])
     ratios = np.array(ratios)
     # gemv and the blocked gemm of the enumeration may round apart by ulps
     assert np.all(ratios <= 1.0 + 1e-12)
@@ -945,8 +996,8 @@ def test_identity_map_and_compose_mismatch():
 @pytest.mark.parametrize("n, dim", [(1, 4), (3, 4), (13, 6), (14, 6), (15, 6), (15, 9), (16, 4),
                                     (9, 600)])
 def test_a_shared_sign_table_equals_the_streamed_one(n, dim):
-    # a table that fits one block of sign_norms is built once by its caller;
-    # one that does not is streamed from n
+    # a table that fits one block is built once by its caller; one that
+    # does not is streamed from n
     rng = np.random.default_rng(50 + n)
     for sp in (parse_space(f"lorentz:3:2:{dim}"),
                SubspaceSpace(rng.standard_normal((dim + 5, dim)), parse_space(f"lp:3:{dim + 5}"))):
@@ -961,8 +1012,13 @@ def test_a_shared_sign_table_equals_the_streamed_one(n, dim):
             assert shared_scale is None
             assert signs.tobytes() == (table if scale is None else table * scale).tobytes()
             for config in (stack, stack[0]):
-                assert sign_norms(signs, config, sp).tobytes() == \
-                    sign_norms(n, config, sp, scale=scale).tobytes()
+                # the old sign_norms(...).max(axis=-1) and .mean(axis=-1)
+                want = block_sign_norms(n, config, sp, scale)
+                mean = want.mean(axis=-1).tobytes()
+                for got, got_scale in ((signs, None), (n, scale)):
+                    assert same_max(_sign_max(got, config, sp, scale=got_scale), first_max(want))
+                    total = _sign_sum(got, config, sp, linmaps._as_is, scale=got_scale)
+                    assert np.asarray(total / 2 ** (n - 1)).tobytes() == mean
 
 
 @pytest.mark.parametrize("n, dim", [(5, 6), (12, 8), (16, 40)])
@@ -977,6 +1033,20 @@ def test_weak_lq_upper_with_a_shared_table_equals_the_table_free_call(n, dim):
                 want = np.asarray(weak_lq_upper(config, sp, q))
                 got = np.asarray(weak_lq_upper(config, sp, q, signs))
                 assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_weak_lq_upper_holds_no_norms_of_the_stack():
+    # the sign sup of each configuration is reduced block by block; the
+    # (48, 2^17) norms of the stack peaked at 55 MB
+    stack = np.random.default_rng(71).standard_normal((48, 18, 32))
+    tracemalloc.start()
+    try:
+        bound = weak_lq_upper(stack, parse_space("lp:3:32"), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound.shape == (48,)
+    assert peak < 16 * 2**20
 
 
 def test_summing_search_builds_its_sign_table_once(monkeypatch):

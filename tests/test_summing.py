@@ -8,8 +8,9 @@ from banachkit import (C_delta, GrowthSequence, H_constant, LinearMap,
                        NormedSpace, constant_ledger, cotype_q_constant,
                        equal_norm_premise_check, identity_map, lp, pi_Y1,
                        pi_pq_n, equal_norm_inequality, weak_cotype_g)
-from banachkit import linmaps
+from banachkit import averages, linmaps, summing
 from banachkit.linmaps import weak_lq_upper
+from banachkit.search import child_seeds
 from banachkit.spaces import gweak, parse_space
 from banachkit.summing import PremiseError, _best_frame
 
@@ -106,6 +107,37 @@ def test_cotype_search_builds_its_sign_table_once(monkeypatch):
     monkeypatch.setattr(linmaps, "sign_patterns", lambda n: calls.append(n) or patterns(n))
     cotype_q_constant(space(3, 4), 2, 3, budget=8, seed=5)
     assert calls == [3]
+
+
+class Scored(Exception):
+    pass
+
+
+@pytest.mark.parametrize("variable, n", [("gaussian", 4), ("rademacher", 22)])
+def test_sampled_cotype_denominator_is_the_mean_of_the_sample_norms(monkeypatch, variable, n):
+    # the 20,000-row sample is no power of two rows: its sums gather each
+    # configuration's norms and sum them as np.sum does
+    scores = []
+
+    def first_score(score, *_):
+        scores.append(score)
+        raise Scored
+
+    monkeypatch.setattr(summing, "_config_search", first_score)
+    X, seed = parse_space("lorentz:3:2:40"), 3
+    with pytest.raises(Scored):
+        cotype_q_constant(X, 2, n, seed=seed, variable=variable)
+    draws = np.empty((20_000, n))
+    sampler = averages._draw_gaussians if variable == "gaussian" else averages._draw_signs
+    sampler(np.random.default_rng(child_seeds(seed, 2)[0]), draws)
+    stack = np.random.default_rng(n).standard_normal((5, n, 40))
+    # the old sign_norms(draws, C, X).mean(axis=1), of one-shot norms
+    norms = np.array([X.norm_rows(draws @ c) for c in stack])
+    num = lp(2).norm_rows(X.norm_rows(stack.reshape(-1, 40)).reshape(-1, n))
+    assert scores[0](stack).tobytes() == (num / norms.mean(axis=1)).tobytes()
+    assert scores[0](stack[:1]).tobytes() == (num[:1] / norms[0].mean()).tobytes()
+    mean = linmaps._sign_sum(draws, stack[0], X, linmaps._as_is) / len(draws)
+    assert mean == norms[0].mean()
 
 
 def test_cotype_gaussian_variant_records_stderr():
