@@ -24,7 +24,7 @@ from .linmaps import LinearMap, identity_map, weak_lq_upper
 from .pipeline import run_pipeline
 from .snumbers import approximation_numbers, eigen_decay_vs_weyl, eigenvalue_sequence, weyl_numbers
 from .spaces import DescriptorError, parse_family, parse_space
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_flags
 from .summing import constant_ledger, cotype_q_constant, pi_pq_n
 
 
@@ -82,6 +82,15 @@ def _parse_growth(descriptor):
     return space.g, n
 
 
+def _numbers(descriptor, text, kinds, form):
+    """The colon-separated fields of text read by kinds, text a value in
+    descriptor; a usage error names text where they do not read."""
+    try:
+        return [kind(field) for kind, field in zip(kinds, text.split(":"), strict=True)]
+    except ValueError:  # a field that does not read, or too few or too many
+        raise DescriptorError(descriptor, text, f"expected {form}") from None
+
+
 def cmd_growth(args):
     g, n_max = _parse_growth(args.descriptor)
     t = r = None
@@ -90,9 +99,9 @@ def cmd_growth(args):
             if token == "S":
                 continue
             if token.startswith("L:"):
-                t = float(token[2:])
+                t, = _numbers(args.check, token[2:], (float,), "L:<t>, t a number")
             elif token.startswith("M:"):
-                r = int(token[2:])
+                r, = _numbers(args.check, token[2:], (int,), "M:<r>, r an integer")
             else:
                 raise DescriptorError(args.check, token, "expected S, L:<t> or M:<r>")
     report = validate_growth(g, n_max, t=t, r=r)
@@ -100,11 +109,11 @@ def cmd_growth(args):
     lines += [f"warning: {w}" for w in report.warnings]
     lines += [f"violation: {v}" for v in report.violations]
     if args.tilde:
-        rr, nn = (int(x) for x in args.tilde.split(":"))
+        rr, nn = _numbers(args.tilde, args.tilde, (int, int), "r:n, two integers")
         lines.append(f"tilde({rr},{nn}) = {tilde_g(g, rr, nn):.6g}")
     if args.gq:
-        qq, nn = args.gq.split(":")
-        lines.append(f"gq({qq},{nn}) = {g_q(g, float(qq), int(nn)):.6g}")
+        qq, nn = _numbers(args.gq, args.gq, (float, int), "q:n, a number and an integer")
+        lines.append(f"gq({args.gq.replace(':', ',')}) = {g_q(g, qq, nn):.6g}")
     _emit(args, report.__dict__, lines)
     return 0 if report.ok else 1
 
@@ -204,15 +213,17 @@ def cmd_pipeline(args):
 
 
 def cmd_verify(args):
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    bad = [n for n in names if n not in SUITES]
-    if bad:
-        raise DescriptorError(args.suite, bad[0],
+    if args.suite != "all" and args.suite not in SUITES:
+        raise DescriptorError(args.suite, args.suite,
                               "unknown suite; see `banachkit verify --list`")
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     status = 0
     reports = []
     for name in names:
-        rep = run_suite(name, seed=args.seed, budget=args.budget, tol=args.tol)
+        flags, unread = suite_flags(name, budget=args.budget, tol=args.tol)
+        if unread and args.suite != "all":  # all gives each flag to its readers
+            raise DescriptorError(args.suite, f"--{unread[0]}", "a flag this suite does not read")
+        rep = run_suite(name, seed=args.seed, **flags)
         reports.append(rep)
         for line in rep.summary_lines():
             print(line)

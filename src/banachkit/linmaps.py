@@ -535,14 +535,13 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     (n + 2) eps (||y|| + F)^2 of the largest d_j, about twenty times
     that, which also covers the rounding of ||y|| and F themselves.
 
-    The images E_i @ A_i.T are recomputed from the active starts, one
-    stacked product per count of active starts, so each has the rows of
-    the one-map ascent (numpy sends one row to gemv, which rounds unlike
-    gemm) and each map climbs bit for bit as alone. The final vertices of
-    every map are re-read from their gemv images a @ e, as the scalar
-    norm of a @ e reads them: through norm_rows in the same blocks, or
-    one by one into a subspace, whose rows of a block may round apart
-    from a lone row. The first maximum wins.
+    The starts' images are one stacked product E @ A^T; after that the
+    row scored for the flip a start takes becomes its image, so an image
+    changes only by that elementwise add and each map climbs as alone.
+    The final vertices of every map are re-read from their gemv images
+    a @ e, as the scalar norm of a @ e reads them: through norm_rows in
+    the same blocks, or one by one into a subspace, whose rows of a block
+    may round apart from a lone row. The first maximum wins.
     """
     k, n, N = A.shape
     top = (np.linalg.svd(A, full_matrices=False)[2] if vt is None else vt)[:, 0]
@@ -608,14 +607,10 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
         active[mi[~gain], si[~gain]] = False
         mi, si, arg = mi[gain], si[gain], arg[gain]
         score[mi, si] = best[gain]
+        # the new image is the row scored for the flip taken, the operands of
+        # flip_values in its order, so it is that row bit for bit
+        Y[mi, si] = signed[((E[mi, si, arg] > 0) * k + mi) * N + arg] + Y[mi, si]
         E[mi, si, arg] *= -1.0
-        count = active.sum(axis=1)
-        for r in np.unique(count[count > 0]):
-            mi, si = np.nonzero(active & (count == r)[:, None])
-            maps = mi[::r]  # all k maps: A itself, no copy of the stack
-            Y[mi, si] = np.matmul(E[mi, si].reshape(-1, r, N),
-                                  (A if maps.size == k else A[maps]).transpose(0, 2, 1)
-                                  ).reshape(-1, n)
     # one gemv image per final vertex, as the scalar norm of a @ e forms it
     images = np.array([[a @ e for e in final] for a, final in zip(A, E)])
     values = (norms(images) if cod._rows_alone

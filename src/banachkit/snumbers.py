@@ -121,47 +121,30 @@ def _approx_lower_from_l2(B, codomain):
     return s if codomain.is_euclidean else s / codomain.ge_euclid()
 
 
-def _coordinate_frames(dim, n, count, seed, random_width=False):
-    """Contractions u : l_2^m -> l_2^dim as (places, U) stacks of one width
-    m, U of shape (len(places), dim, m); places number the frames in one
-    fixed order. Place 0 is the identity, place m the coordinate isometry
-    of width m = 1, ..., dim - 1, and places dim, dim + 1, ... are `count`
-    seeded random orthonormal frames.
+def _coordinate_frames(dim, n, count, seed):
+    """weyl_numbers' contractions u : l_2^m -> l_2^dim, as (places, U)
+    stacks of one width m, U of shape (len(places), dim, m); places
+    number the frames in one fixed order. Place 0 is the identity, place
+    m the coordinate isometry of width m = 1, ..., dim - 1, and places
+    dim, dim + 1, ... are `count` seeded random orthonormal frames.
 
     A stack holds at most ASCENT_BLOCK entries of frames and of their
     images in an n-dimensional codomain. The random frames of a stack
     come from one gaussian draw and one stacked qr, the same numbers as a
     draw and a qr per frame. The identity leads the first stack of random
     frames, which share its width; each isometry is a stack of one.
-
-    Under random_width each random frame is cut to a width drawn right
-    after its gaussians, so the draws stay per frame and only the qr is
-    stacked; then every frame is a stack of one, yielded in place order.
     """
     size = max(1, ASCENT_BLOCK // (dim * max(dim, n)))  # frames per stack
     eye = np.eye(dim)
-    isometries = [([m], eye[None, :, :m]) for m in range(1, dim)]
     rng = np.random.default_rng(seed)
     count = max(0, count)
-    if random_width:
-        yield [0], eye[None]
-        yield from isometries
-        for i in range(0, count, size):
-            G = np.empty((min(size, count - i), dim, dim))
-            widths = []
-            for g in G:
-                g[...] = rng.standard_normal((dim, dim))
-                widths.append(int(rng.integers(1, dim + 1)))
-            for j, (q, m) in enumerate(zip(np.linalg.qr(G)[0], widths), dim + i):
-                yield [j], q[None, :, :m]
-        return
     # positions 0, 1, ..., count: the identity, then the random frames
     for i in range(0, count + 1, size):
         stop = min(i + size, count + 1)
         Q = np.linalg.qr(rng.standard_normal((stop - max(i, 1), dim, dim)))[0]
         if i == 0:
             yield [0, *range(dim, dim + stop - 1)], np.concatenate([eye[None], Q])
-            yield from isometries
+            yield from (([m], eye[None, :, :m]) for m in range(1, dim))
         else:
             yield list(range(dim + i - 1, dim + stop - 1)), Q
 

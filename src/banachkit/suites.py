@@ -6,6 +6,7 @@ constants no effective bound pins down are recorded for stability only
 (OBSERVE tier). Reports reproduce bit-for-bit from the master seed.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from .summing import (C_delta, H_constant, constant_ledger,
                       equal_norm_premise_check, pi_pq_n, equal_norm_inequality,
                       weak_cotype_g)
 
-__all__ = ["SUITES", "run_suite", "suite_eigen_decay", "suite_main_theorem",
+__all__ = ["SUITES", "run_suite", "suite_flags", "suite_eigen_decay", "suite_main_theorem",
            "char_poly_roots"]
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -68,7 +69,7 @@ def _match_sorted(a, b):
 # suites
 
 
-def suite_norms(seed=0, budget=32, tol=1e-12):
+def suite_norms(seed=0, tol=1e-12):
     rep = SuiteReport("norms", seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -99,7 +100,7 @@ def suite_norms(seed=0, budget=32, tol=1e-12):
     return rep
 
 
-def suite_growth(seed=0, budget=32, tol=0.0):
+def suite_growth(seed=0):
     rep = SuiteReport("growth", seed)
     for q in (2, 3, 4):
         g = GrowthSequence.power(1.0 / q)
@@ -118,7 +119,7 @@ def suite_growth(seed=0, budget=32, tol=0.0):
     return rep
 
 
-def suite_rademacher(seed=0, budget=32, tol=1e-12):
+def suite_rademacher(seed=0, tol=1e-12):
     rep = SuiteReport("rademacher", seed)
     for n in (2, 4, 8, 16):
         e = np.eye(n)
@@ -145,7 +146,7 @@ def suite_rademacher(seed=0, budget=32, tol=1e-12):
     return rep
 
 
-def suite_ell(seed=0, budget=32, tol=0.02):
+def suite_ell(seed=0, tol=0.02):
     rep = SuiteReport("ell", seed)
     n = 8
     space = NormedSpace(lp(2), n)
@@ -179,7 +180,7 @@ def suite_contraction(seed=0, budget=32, tol=1e-12):
     return rep
 
 
-def suite_gauss_rademacher(seed=0, budget=32, tol=0.0):
+def suite_gauss_rademacher(seed=0):
     rep = SuiteReport("gauss-rademacher", seed)
     rng = np.random.default_rng(seed)
     ok = True
@@ -216,7 +217,7 @@ def suite_pi1(seed=0, budget=0, tol=1e-10):
     return rep
 
 
-def suite_eigen(seed=0, budget=32, tol=1e-8):
+def suite_eigen(seed=0, tol=1e-8):
     rep = SuiteReport("eigen", seed)
     rng = np.random.default_rng(seed)
     worst_roots, worst_det, worst_tr = 0.0, 0.0, 0.0
@@ -242,7 +243,7 @@ def suite_eigen(seed=0, budget=32, tol=1e-8):
     return rep
 
 
-def suite_pi2_approx(seed=0, budget=32, tol=0.0):
+def suite_pi2_approx(seed=0):
     rep = SuiteReport("pi2-approx", seed)
     rng = np.random.default_rng(seed)
     ok = True
@@ -258,7 +259,7 @@ def suite_pi2_approx(seed=0, budget=32, tol=0.0):
     return rep
 
 
-def suite_wc_bracket(seed=0, budget=16, tol=0.0):
+def suite_wc_bracket(seed=0, budget=16):
     rep = SuiteReport("wc-bracket", seed)
     g = GrowthSequence.power(0.5)
     for n in (4, 8):
@@ -275,7 +276,7 @@ def suite_wc_bracket(seed=0, budget=16, tol=0.0):
     return rep
 
 
-def suite_equal_norm(seed=0, budget=16, tol=0.0):
+def suite_equal_norm(seed=0, budget=16):
     rep = SuiteReport("equal-norm", seed)
     g = GrowthSequence.power(0.5)
     for n in (4, 8, 16):
@@ -291,7 +292,7 @@ def suite_equal_norm(seed=0, budget=16, tol=0.0):
     return rep
 
 
-def suite_pipeline(seed=0, budget=8, tol=0.0):
+def suite_pipeline(seed=0, budget=8):
     rep = SuiteReport("pipeline", seed)
     g = GrowthSequence.power(0.5)
     ledger = constant_ledger(g, H=1.0, K=1.0)
@@ -367,7 +368,7 @@ def suite_gauges(seed=0, budget=16, tol=0.05):
     return rep
 
 
-def suite_classifier(seed=0, budget=16, tol=0.0):
+def suite_classifier(seed=0):
     rep = SuiteReport("classifier", seed)
     c = alternative_classify(lorentz(2.0, math.inf), 3.0, n_max=64)
     rep.check("weak-l2-against-p3", c.case == 1 and c.n0 == 2 and abs(c.q - 2.0) < 1e-12,
@@ -385,7 +386,7 @@ def suite_classifier(seed=0, budget=16, tol=0.0):
     return rep
 
 
-def suite_iterlog(seed=0, budget=16, tol=1e-12):
+def suite_iterlog(seed=0, tol=1e-12):
     rep = SuiteReport("iterlog", seed)
     expected = {2: 1, 4: 2, 5: 3, 16: 3, 17: 4}
     ok = all(tower_index(n) == k for n, k in expected.items())
@@ -477,7 +478,7 @@ def suite_eigen_decay(q=2.0, n=16, N=32, trials=200, seed=0, budget=16, tol=0.25
     return rep
 
 
-def suite_main_theorem(family="lp:2", q=2.0, dims=(4, 9, 16), budget=0, seed=0, tol=0.0):
+def suite_main_theorem(family="lp:2", q=2.0, dims=(4, 9, 16), budget=0, seed=0):
     """Summing-versus-average chain on a family of identity maps.
 
     For each dimension: the 1-summing lower estimate against the
@@ -543,12 +544,14 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, budget=None, tol=None, **kwargs):
-    if name not in SUITES:
-        raise KeyError(name)
-    fn = SUITES[name]
-    if budget is not None:
-        kwargs["budget"] = budget
-    if tol is not None:
-        kwargs["tol"] = tol
-    return fn(seed=seed, **kwargs)
+def suite_flags(name, **flags):
+    """(read, unread): of the flags set (not None), a dict of those that
+    suite `name` takes as parameters, by its signature, and the others."""
+    params = inspect.signature(SUITES[name]).parameters
+    flags = {flag: value for flag, value in flags.items() if value is not None}
+    return {f: v for f, v in flags.items() if f in params}, [f for f in flags if f not in params]
+
+
+def run_suite(name, seed=0, **kwargs):
+    """The report of suite `name`; a keyword set to None keeps its default."""
+    return SUITES[name](seed=seed, **{k: v for k, v in kwargs.items() if v is not None})

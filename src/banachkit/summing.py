@@ -18,7 +18,7 @@ from .estimates import Estimate, LOWER, Record
 from .growth import validate_growth
 from .linmaps import ENUM_CAP, _as_is, _sign_sum, identity_map, sign_weights, weak_lq_upper
 from .search import _scaled_rows, batch_forms, child_seeds, multistart_maximize
-from .snumbers import _approx_lower_from_l2, _coordinate_frames
+from .snumbers import _approx_lower_from_l2
 from .spaces import gweak, lp
 
 __all__ = [
@@ -216,9 +216,16 @@ def weak_cotype_g(T, g, budget=16, seed=0):
     A = np.asarray(T.matrix, dtype=float)
     if not np.any(A):
         return Estimate(0.0, "exact", witness=None, budget=0, seed=seed)
-    frames = _coordinate_frames(T.domain.dim, T.codomain.dim, budget // 4, seed,
-                                random_width=True)
-    best_val, best_u = _best_frame(T, [u for _, U in frames for u in U],
+    # the identity, the coordinate isometries, then budget // 4 random
+    # orthonormal frames, each cut to a width drawn after its gaussians
+    dim = T.domain.dim
+    eye = np.eye(dim)
+    frames = [eye] + [eye[:, :m] for m in range(1, dim)]
+    rng = np.random.default_rng(seed)
+    for _ in range(budget // 4):
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        frames.append(q[:, :int(rng.integers(1, dim + 1))])
+    best_val, best_u = _best_frame(T, frames,
                                    lambda a: float(np.max(g(np.arange(1, len(a) + 1)) * a)))
     return Estimate(float(best_val), LOWER, witness=best_u, budget=budget, seed=seed,
                     meta={"quantity": "weak cotype", "g": g.label})

@@ -139,6 +139,56 @@ def test_verify_passes_budget_and_tol_to_the_suite(capsys, monkeypatch, tmp_path
         assert got == want
 
 
+@pytest.mark.parametrize("suite, flags, flag", [("pi2-approx", ["--budget", "5", "--tol", "0.5"],
+                                                  "--budget"),
+                                                 ("growth", ["--budget", "5"], "--budget"),
+                                                 ("wc-bracket", ["--tol", "0.1"], "--tol")])
+def test_verify_refuses_a_flag_the_suite_does_not_read(capsys, suite, flags, flag):
+    code, out, err = run(capsys, "verify", suite, *flags)
+    assert code == 2
+    assert flag in err and suite in err and "Traceback" not in err
+    assert out == ""  # refused before the suite runs
+
+
+def test_verify_all_passes_each_flag_to_its_readers(capsys, monkeypatch):
+    # the records of verify all stay as without the refusal; the suites
+    # themselves are not run here, only the calls recorded
+    calls = {}
+
+    def recording(name, **kwargs):
+        calls[name] = kwargs
+        return SuiteReport(name, kwargs["seed"])
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    code, _, _ = run(capsys, "verify", "all", "--budget", "4", "--tol", "0.1")
+    assert code == 0
+    assert list(calls) == list(SUITES)
+    no_budget = {"norms", "growth", "rademacher", "ell", "gauss-rademacher", "eigen",
+                 "pi2-approx", "classifier", "iterlog"}
+    no_tol = {"growth", "gauss-rademacher", "pi2-approx", "wc-bracket", "equal-norm",
+              "pipeline", "classifier", "main-theorem"}
+    for name, kwargs in calls.items():
+        assert kwargs == {"seed": 0,
+                          **({} if name in no_budget else {"budget": 4}),
+                          **({} if name in no_tol else {"tol": 0.1})}
+
+
+@pytest.mark.parametrize("option, value, token", [("--tilde", "2", "2"), ("--gq", "3", "3"),
+                                                  ("--tilde", "x:4", "x:4"),
+                                                  ("--check", "L:abc", "abc"),
+                                                  ("--check", "S,M:2.5", "2.5")])
+def test_malformed_growth_values_are_usage_errors(capsys, option, value, token):
+    code, _, err = run(capsys, "growth", "gweak:pow:0.5:64", option, value)
+    assert code == 2
+    assert f"token {token!r}" in err and "Traceback" not in err
+
+
+def test_an_out_of_range_growth_value_stays_a_library_error(capsys):
+    code, _, err = run(capsys, "growth", "gweak:pow:0.5:64", "--gq", "1.5:8")
+    assert code == 1
+    assert "q > 2" in err
+
+
 def test_tol_and_format_belong_to_verify(capsys):
     for argv in (["snum", "--domain", "lp:2:2", "--format", "csv"],
                  ["norm", "lp:2", "--vec", "1", "--tol", "0.1"]):

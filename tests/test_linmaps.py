@@ -778,6 +778,24 @@ def test_screened_vertex_ascent_scores_few_flips_per_step(cod):
     assert sum(steps) <= 1.25 * k * starts * len(steps)
 
 
+@pytest.mark.parametrize("cod", ["lp:2:12", "lp:3:12", "lorentz:3:2:12"])
+def test_vertex_ascent_multiplies_vertices_by_the_map_once(cod, monkeypatch):
+    # the starts' images are the one product of vertices with the map; each
+    # step carries the scored row of the flip taken as the new image
+    k, N, budget = 5, 32, 16
+    cod = parse_space(cod)
+    stack = np.random.default_rng(23).standard_normal((k, cod.dim, N))
+    matmul, shapes = np.matmul, []
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    linmaps._vertex_ascents(stack, cod, budget, range(k))
+    assert [s for s in shapes if s[-2:] == (N, cod.dim)] == [(k, N, cod.dim)]
+
+
 def test_rank_one_cube_maps_stay_under_their_upper_end():
     # u 1^T attains le smax ge exactly, so only the outward rounding of
     # meta["upper"] keeps the computed value below it
