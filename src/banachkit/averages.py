@@ -12,9 +12,9 @@ sums added pairwise, as numpy adds the whole vector), and each Monte
 Carlo chunk a job that draws and scores its blocks in order.
 
 Jobs of at least four blocks of entries in all run on two threads, the
-calling thread and one pool thread, each with its own working array.
-Results are combined in order, so they are those of one thread bit for
-bit.
+calling thread and a helper thread started for the call, each with its
+own working array. Results are combined in order, so they are those of
+one thread bit for bit.
 """
 
 import math

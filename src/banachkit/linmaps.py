@@ -28,8 +28,9 @@ configurations as fit in it, else one, or one Monte Carlo chunk, which
 draws its weights block by block. A sign enumeration writes each block
 of patterns directly and no (k, 2^(n-1)) array of norms is held, so peak
 memory is a few blocks, whatever the dimension. The jobs of a large
-table or average run on the calling thread and one pool thread (see
-_fan_out), with the same results bit for bit.
+table or average run on the calling thread and a helper thread started
+for the call (see _fan_out), with the same results bit for bit, and no
+thread of the package outlives a call.
 """
 
 import math
@@ -86,8 +87,9 @@ def sign_pattern(n, i):
     return 1.0 - 2.0 * ((i >> np.arange(n - 1, -1, -1)) & 1)
 
 
-#: blocks of entries a job must hold before it is spread over threads;
-#: smaller jobs gained no time from a second thread and paid its memory
+#: blocks of entries the jobs of a runner call must hold in all before
+#: they are spread over threads; fewer gained no time from a second
+#: thread and paid its memory
 _FAN_OUT = 4
 
 
@@ -99,46 +101,24 @@ def _cpus():
 
 
 #: threads a fanned-out job runs on: the calling thread and at most one
-#: pool thread. Each holds a working array of up to two blocks, so a job
-#: holds at most four.
+#: helper thread started for the call. Each holds a working array of up
+#: to two blocks, so a job holds at most four.
 _WORKERS = min(2, _cpus())
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _pool_thread():
-    """The one pool thread, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here, not with the package: it adds to every start-up
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="banachkit")
-        return _pool
-
-
-def _forget_pool():
-    """In a forked child, which has no pool thread, only the executor."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _fan_out(job, count, scratch):
     """[job(i, s) for i in range(count)] with s one of scratch, whose
     length is the thread count: the calling thread works with scratch[0]
-    and the pool thread with scratch[1], each taking the next i when it
-    is free. The results keep the order of i. An exception in either
-    thread stops the handing out and is raised here once both stopped."""
+    and a helper thread, started here and joined before this returns or
+    raises, with scratch[1], each taking the next i when it is free. The
+    results keep the order of i. An exception in either thread stops the
+    handing out and is raised here once both stopped, the calling
+    thread's if both raised."""
     if len(scratch) == 1:
         return [job(i, scratch[0]) for i in range(count)]
     results = [None] * count
     todo = deque(range(count))
+    failed = []
 
     def run(s):
         try:
@@ -152,13 +132,20 @@ def _fan_out(job, count, scratch):
             todo.clear()
             raise
 
-    future = _pool_thread().submit(run, scratch[1])
+    def helper():
+        try:
+            run(scratch[1])
+        except BaseException as error:  # raised on the calling thread
+            failed.append(error)
+
+    thread = threading.Thread(target=helper, name="banachkit")
+    thread.start()
     try:
         run(scratch[0])
     finally:
-        error = future.exception()  # waits for the pool thread
-    if error is not None:
-        raise error
+        thread.join()
+    if failed:
+        raise failed[0]
     return results
 
 
@@ -300,11 +287,6 @@ class _Blocks:
         self.config = config
         self.kernel = space._row_kernel()
 
-    def threads(self, m):
-        """Threads for a job of m rows of weights: _WORKERS from _FAN_OUT
-        blocks of entries on, else one."""
-        return _WORKERS if m * self.width >= _FAN_OUT * SIGN_BLOCK else 1
-
     def jobs(self, fill, spans):
         """One job (fill, c, [span]) per block of a table (see _run_jobs):
         each span of rows for each run of self.per configurations."""
@@ -330,23 +312,27 @@ class _Blocks:
         return self.kernel(block.reshape(-1, dim)).reshape(k, -1)
 
 
-def _run_jobs(plan, jobs, reduce, threads, prepare=_as_is, gather=0):
+def _run_jobs(plan, jobs, reduce, m, prepare=_as_is, gather=0):
     """[reduce(norms, c, start) for each job (fill, c, spans)], with norms
     the (configurations, rows) row norms of the rows of W @ plan.config[c:
     c + plan.per] that spans lists, in order, start the first of them, and
     fill writing each block of W (see _weight_fill). A job runs its spans
-    in order on one thread; the jobs run on `threads` threads (see
-    _fan_out), each with its own working array, which prepare readies on
-    the calling thread. A job of one span hands its fresh norms straight
-    to reduce; a longer one, of one configuration and at most `gather`
-    rows, gathers them first. reduce may work in its argument in place,
-    on either thread. Each block keeps its rows and its place, so the
-    results do not depend on the thread count. A thread's working array
-    is reused for every block it takes (blocks taken afresh went back to
-    the operating system between uses and faulted their pages in again),
-    and the space works in each product in place."""
+    in order on one thread. Two or more jobs over m rows of weights in all
+    of at least _FAN_OUT blocks of entries run on _WORKERS threads, the
+    calling thread and a helper thread started for the call (see
+    _fan_out), any others on the calling thread alone; each thread has
+    its own working array, which prepare readies on the calling thread. A
+    job of one span hands its fresh norms straight to reduce; a longer
+    one, of one configuration and at most `gather` rows, gathers them
+    first. reduce may work in its argument in place, on either thread.
+    Each block keeps its rows and its place, so the results do not depend
+    on the thread count. A thread's working array is reused for every
+    block it takes (blocks taken afresh went back to the operating system
+    between uses and faulted their pages in again), and the space works
+    in each product in place."""
+    fan_out = len(jobs) > 1 and m * plan.width >= _FAN_OUT * SIGN_BLOCK
     works = []
-    for _ in range(threads):
+    for _ in range(_WORKERS if fan_out else 1):
         buf, prod = plan.work()
         prepare(buf)
         works.append((buf, prod, np.empty((1, gather)) if gather else None))
@@ -401,7 +387,7 @@ def _sign_sum(signs, config, space, f, *, scale=None):
     def add(norms, c, start):
         np.add.reduce(f(norms), axis=1, out=sums[start // plan.rows, c:c + len(norms)])
 
-    _run_jobs(plan, jobs, add, plan.threads(m), prepare, gather=m if whole else 0)
+    _run_jobs(plan, jobs, add, m, prepare, gather=m if whole else 0)
     while len(sums) > 1:
         sums = sums[0::2] + sums[1::2]
     return sums[0] if config.ndim == 3 else sums[0, 0]
@@ -412,12 +398,11 @@ def _chunk_norms(draws, counts, config, space, reduce):
     any thread: norms are the count row norms of W @ config, bit for bit
     (see _Blocks), with draw(block) filling the float block with the next
     rows of W, block after block in order, as a Monte Carlo chunk drawn
-    from its own generator. Each chunk is one job (see _run_jobs); two or
-    more run on plan.threads(rows in all) threads."""
+    from its own generator. Each chunk is one job (see _run_jobs)."""
     plan = _Blocks(config[None], space, max(counts))
     jobs = [(partial(_drawn, draw), 0, _spans(m, plan.rows)) for draw, m in zip(draws, counts)]
-    return _run_jobs(plan, jobs, lambda v, c, start: reduce(v[0]),
-                     plan.threads(sum(counts)) if len(counts) > 1 else 1, gather=max(counts))
+    return _run_jobs(plan, jobs, lambda v, c, start: reduce(v[0]), sum(counts),
+                     gather=max(counts))
 
 
 def _sign_max(signs, config, space, *, scale=None):
@@ -443,7 +428,7 @@ def _sign_max(signs, config, space, *, scale=None):
         np.maximum.reduce(norms, axis=1, out=values[b, rows])
         norms.argmax(axis=1, out=firsts[b, rows])  # within the block
 
-    _run_jobs(plan, plan.jobs(fill, spans), first_max, plan.threads(m), prepare)
+    _run_jobs(plan, plan.jobs(fill, spans), first_max, m, prepare)
     if len(spans) == 1:
         values, firsts = values[0], firsts[0]
     else:  # the first block holding each largest, which starts at row b * plan.rows

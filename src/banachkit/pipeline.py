@@ -169,18 +169,12 @@ class RegroupReport(Record):
 def regroup_step(config, space, blocks, g, H=1.0, s3=1.0, K=1.0, samples=20_000, seed=0):
     """Union k disjoint blocks and compare measured against predicted.
 
-    blocks: list of (indices, measured gaussian average) pairs or
-    BlockSelection-like objects. The floor for the union is
-    (alpha / (2 S3 H)) g(k) with alpha the common per-block floor; the
-    precondition sqrt(k) <= alpha g(k) / (2 S3 K H) is checked and a
-    miss is labeled, not raised.
+    blocks: list of (indices, measured gaussian average) pairs. The
+    floor for the union is (alpha / (2 S3 H)) g(k) with alpha the common
+    per-block floor; the precondition sqrt(k) <= alpha g(k) / (2 S3 K H)
+    is checked and a miss is labeled, not raised.
     """
-    pairs = []
-    for b in blocks:
-        if hasattr(b, "indices"):
-            pairs.append((list(b.indices), b.gaussian.value))
-        else:
-            pairs.append((list(b[0]), float(b[1])))
+    pairs = [(list(idx), float(avg)) for idx, avg in blocks]
     k = len(pairs)
     all_idx = [i for idx, _ in pairs for i in idx]
     if len(set(all_idx)) != len(all_idx):
@@ -218,7 +212,7 @@ class BlockCertificate(Record):
     notes: list = field(default_factory=list)
 
 
-def level_floor(plan, ledger, level):
+def level_floor(ledger, level):
     """Closed-form floor for a level-`level` union of blocks."""
     g_s = ledger["g_s"]
     g_k = ledger["g_k"]
@@ -265,7 +259,6 @@ def run_pipeline(config, space, g, ledger, budget=32, samples=20_000, seed=0):
         remaining = [i for i in remaining if i not in set(sel.indices)]
 
     levels = []
-    current = blocks  # level-0 unions are the blocks themselves
     all_ok = all(b.gaussian.value >= target100 for b in blocks)
     levels.append({
         "level": 0,
@@ -275,7 +268,7 @@ def run_pipeline(config, space, g, ledger, budget=32, samples=20_000, seed=0):
     })
     groups = [(list(b.indices), b.gaussian.value) for b in blocks]
     for level in range(1, r + 1):
-        floor = level_floor(plan, consts, level)
+        floor = level_floor(consts, level)
         new_groups = []
         reports = []
         lvl_seeds = child_seeds(seeds[plan.p + level - 1], len(groups))

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ TRACED_MODULES = ("sequences", "growth", "spaces", "search", "linmaps", "average
                   "snumbers", "summing", "pipeline", "gauges", "reports", "suites", "cli")
 
 
-def test_pool_threads_call_nothing_public(monkeypatch):
+def test_helper_threads_call_nothing_public(monkeypatch):
     # a tracer that wraps the public functions and the space and growth
     # methods keeps one span stack: only the calling thread may enter them
     monkeypatch.setattr(linmaps, "_WORKERS", 2)
@@ -361,7 +362,7 @@ def test_pool_threads_call_nothing_public(monkeypatch):
         gaussian_average(rng.standard_normal((8, 64)), sp, samples=45_000, seed=4)
     main = threading.get_ident()
     assert callers == {main}
-    assert workers - {main}, "the pool thread took no block"
+    assert workers - {main}, "no helper thread took a block"
 
 
 def _average_in_child(conn, config, sp):
@@ -370,20 +371,50 @@ def _average_in_child(conn, config, sp):
     conn.close()
 
 
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_fanned_out_calls_leave_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    kernel = NormedSpace._row_kernel
+    workers = set()
+
+    def watched(self):
+        rows = kernel(self)
+
+        def run(m):
+            workers.add(threading.get_ident())
+            return rows(m)
+        return run
+
+    monkeypatch.setattr(NormedSpace, "_row_kernel", watched)
+    rng = np.random.default_rng(125)
+    sp = parse_space("lp:3:64")
+    config = rng.standard_normal((16, 64))  # 8 blocks of 4096 patterns
+    calls = (partial(linmaps._sign_max, 16, config, sp),
+             partial(linmaps._sign_sum, 16, config, sp, np.abs),
+             partial(gaussian_average, config[:8], sp, samples=45_000, seed=5))  # 3 chunks
+    main = threading.get_ident()
+    for call in calls:
+        before = threading.active_count()
+        workers.clear()
+        call()
+        helpers = workers - {main}
+        assert helpers, "the call did not fan out"
+        assert threading.active_count() == before
+        assert not helpers & {t.ident for t in threading.enumerate()}
+
+
 def test_a_forked_child_runs_a_fanned_out_average(monkeypatch):
     monkeypatch.setattr(linmaps, "_WORKERS", 2)
     sp = parse_space("lp:3:64")
     config = np.random.default_rng(130).standard_normal((8, 64))
     want = gaussian_average(config, sp, moment=2, samples=45_000, seed=6)
-    assert linmaps._pool is not None  # the parent's pool thread is running
+    # the fanned-out average left no thread behind, so the fork is safe
+    assert threading.active_count() == 1
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_average_in_child, args=(send, config, sp))
     child.start()
     try:
-        # a child that kept the parent's executor would wait for ever on a
-        # thread that was not forked
+        # a child that waited on a thread that was not forked would hang
         assert receive.poll(60), "the forked child did not finish its average"
         assert receive.recv() == (want.value, want.stderr)
     finally:

@@ -378,40 +378,58 @@ def test_scaled_patterns_equal_the_weighted_table():
                 assert np.asarray(mean).tobytes() == want.mean(axis=-1).tobytes()
 
 
-class PoolFailure(RuntimeError):
+class ThreadFailure(RuntimeError):
     pass
 
 
-def test_an_error_in_the_pool_thread_is_raised_and_the_pool_recovers(monkeypatch):
-    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+def test_an_error_on_either_thread_is_raised_and_the_next_call_recovers(monkeypatch):
     sp = parse_space("lp:3:32")
-    config = np.random.default_rng(96).standard_normal((16, 32))
+    config = np.random.default_rng(96).standard_normal((16, 32))  # 4 blocks
     kernel = NormedSpace._row_kernel
     main = threading.get_ident()
-    pool_ran = threading.Event()
+    took = {"caller": threading.Event(), "helper": threading.Event()}
+    caller_failed = threading.Event()
+    helper_blocks = []
 
-    def failing(self):
-        norms = kernel(self)
+    def failing_on(fails):
+        def failing(self):
+            norms = kernel(self)
 
-        def rows(m):
-            if threading.get_ident() != main:
-                pool_ran.set()
-                raise PoolFailure("block on the pool thread")
-            pool_ran.wait(10)  # until the pool thread took a block
-            return norms(m)
-        return rows
+            def rows(m):
+                me = "caller" if threading.get_ident() == main else "helper"
+                took[me].set()
+                took["helper" if me == "caller" else "caller"].wait(10)  # each holds a block
+                if me == "helper":
+                    helper_blocks.append(m)
+                if me in fails:
+                    if me == "caller":
+                        caller_failed.set()
+                    raise ThreadFailure(f"block on the {me} thread")
+                if me == "helper" and "caller" in fails:
+                    caller_failed.wait(10)  # the helper is in a block as the caller fails
+                return norms(m)
+            return rows
+        return failing
 
+    before = threading.active_count()
     for reduce in (partial(_sign_max, 16), partial(_sign_sum, 16, f=np.abs)):
-        monkeypatch.setattr(linmaps, "_WORKERS", 2)
-        monkeypatch.setattr(NormedSpace, "_row_kernel", failing)
-        pool_ran.clear()
-        with pytest.raises(PoolFailure):
-            reduce(config, sp)
-        assert pool_ran.is_set()
-        monkeypatch.setattr(NormedSpace, "_row_kernel", kernel)
-        got = reduce(config, sp)
-        monkeypatch.setattr(linmaps, "_WORKERS", 1)
-        assert got == reduce(config, sp)
+        # the calling thread's error is raised if both threads fail
+        for fails, raised in (({"helper"}, "helper"), ({"caller"}, "caller"),
+                              ({"helper", "caller"}, "caller")):
+            monkeypatch.setattr(linmaps, "_WORKERS", 2)
+            monkeypatch.setattr(NormedSpace, "_row_kernel", failing_on(fails))
+            for event in (*took.values(), caller_failed):
+                event.clear()
+            helper_blocks.clear()
+            with pytest.raises(ThreadFailure, match=f"on the {raised} thread"):
+                reduce(config, sp)
+            # the helper took one block, took no other and was joined
+            assert len(helper_blocks) == 1
+            assert threading.active_count() == before
+            monkeypatch.setattr(NormedSpace, "_row_kernel", kernel)
+            got = reduce(config, sp)
+            monkeypatch.setattr(linmaps, "_WORKERS", 1)
+            assert got == reduce(config, sp)
 
 
 def test_weight_tables_join_a_one_row_tail_to_the_block_before():
