@@ -319,6 +319,21 @@ TRACED_MODULES = ("sequences", "growth", "spaces", "search", "linmaps", "average
                   "snumbers", "summing", "pipeline", "gauges", "reports", "suites", "cli")
 
 
+def watch_row_kernel(monkeypatch, threads):
+    """Adds to `threads` the thread of every block NormedSpace scores."""
+    kernel = NormedSpace._row_kernel
+
+    def watched(self):
+        rows = kernel(self)
+
+        def run(m):
+            threads.add(threading.get_ident())
+            return rows(m)
+        return run
+
+    monkeypatch.setattr(NormedSpace, "_row_kernel", watched)
+
+
 def test_helper_threads_call_nothing_public(monkeypatch):
     # a tracer that wraps the public functions and the space and growth
     # methods keeps one span stack: only the calling thread may enter them
@@ -343,17 +358,7 @@ def test_helper_threads_call_nothing_public(monkeypatch):
                 monkeypatch.setattr(cls, attr, recording(obj))
     for attr in ("svd", "eig", "eigvals", "qr", "det", "norm"):
         monkeypatch.setattr(np.linalg, attr, recording(getattr(np.linalg, attr)))
-    kernel = NormedSpace._row_kernel
-
-    def watched(self):
-        rows = kernel(self)
-
-        def run(m):
-            workers.add(threading.get_ident())
-            return rows(m)
-        return run
-
-    monkeypatch.setattr(NormedSpace, "_row_kernel", watched)
+    watch_row_kernel(monkeypatch, workers)
     rng = np.random.default_rng(120)
     sp = parse_space("gweak:pow:0.5:64")
     # 8 blocks of 4096 patterns; 3 chunks, 11 blocks of 4096 draws
@@ -373,18 +378,8 @@ def _average_in_child(conn, config, sp):
 
 def test_fanned_out_calls_leave_no_thread_behind(monkeypatch):
     monkeypatch.setattr(linmaps, "_WORKERS", 2)
-    kernel = NormedSpace._row_kernel
     workers = set()
-
-    def watched(self):
-        rows = kernel(self)
-
-        def run(m):
-            workers.add(threading.get_ident())
-            return rows(m)
-        return run
-
-    monkeypatch.setattr(NormedSpace, "_row_kernel", watched)
+    watch_row_kernel(monkeypatch, workers)
     rng = np.random.default_rng(125)
     sp = parse_space("lp:3:64")
     config = rng.standard_normal((16, 64))  # 8 blocks of 4096 patterns
