@@ -6,15 +6,15 @@ for gaussian weights always, chunked Monte Carlo with per-chunk seeds
 derived from the master seed keeps results reproducible; each chunk
 draws its weights in row blocks, one after another, from its own
 generator. Both run as jobs of the one sign-block runner of linmaps
-(_run_jobs), so peak memory is a few blocks, whatever the dimension:
-each block of an enumeration is a job whose norms are summed alone (the
-sums added pairwise, as numpy adds the whole vector), and each Monte
-Carlo chunk a job that draws and scores its blocks in order.
+(_run_jobs), in blocks of 2^16 entries, whose arrays fit a 2 MiB L2
+cache, so peak memory is a few blocks, whatever the dimension: each
+block of an enumeration is a job whose norms are summed alone (the sums
+added pairwise, as numpy adds the whole vector), and each Monte Carlo
+chunk a job that draws and scores its blocks in order.
 
-Jobs of at least four blocks of entries in all run on two threads, the
-calling thread and a helper thread started for the call, each with its
-own working array. Results are combined in order, so they are those of
-one thread bit for bit.
+Jobs of at least 2^20 entries in all run on the calling thread and a
+helper thread started for the call, each with its own working array,
+and their results are combined in order, as on one thread bit for bit.
 """
 
 import math

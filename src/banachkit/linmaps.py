@@ -17,8 +17,9 @@ climb in lockstep); operator_norm is its one-map call.
 
 Every sign enumeration and Monte Carlo average of the package forms
 the product of a weight table and a configuration, or a stack of them,
-in row blocks of at most SIGN_BLOCK entries (see _Blocks), through one
-job runner, _run_jobs, and one block product, _Blocks.norms, and reduces
+in row blocks of at most SIGN_BLOCK = 2^16 entries (see _Blocks), so
+that a block's float64 arrays fit a 2 MiB L2 cache, through one job
+runner, _run_jobs, and one block product, _Blocks.norms, and reduces
 each block as it comes: every sign maximum in _sign_max, which keeps
 each block's first maximum, every sign sum or mean in _sign_sum, which
 sums each block, and each Monte Carlo chunk in _chunk_norms. A job is a
@@ -27,10 +28,10 @@ thread: one block of a sign table times as many whole tables'
 configurations as fit in it, else one, or one Monte Carlo chunk, which
 draws its weights block by block. A sign enumeration writes each block
 of patterns directly and no (k, 2^(n-1)) array of norms is held, so peak
-memory is a few blocks, whatever the dimension. The jobs of a large
-table or average run on the calling thread and a helper thread started
-for the call (see _fan_out), with the same results bit for bit, and no
-thread of the package outlives a call.
+memory is a few blocks, whatever the dimension. The jobs of a table or
+average of at least _FAN_OUT = 2^20 entries run on the calling thread
+and a helper thread started for the call (see _fan_out), with the same
+results bit for bit, and no thread of the package outlives a call.
 """
 
 import math
@@ -52,12 +53,9 @@ __all__ = ["LinearMap", "identity_map", "operator_norm", "operator_norms", "dual
 #: sign patterns are enumerated exactly up to this many vectors
 ENUM_CAP = 20
 
-#: entries of the widest array formed on one block (see _Blocks)
-SIGN_BLOCK = 1 << 18
-
-#: entries per norm_rows block of the vertex ascent, which makes several
-#: passes over each block: small enough to stay in cache
-ASCENT_BLOCK = SIGN_BLOCK >> 3
+#: entries of the widest array formed on one block (see _Blocks): the
+#: one block budget of the package, cube ascents and searches included
+SIGN_BLOCK = 1 << 16
 
 
 def sign_patterns(n):
@@ -87,10 +85,9 @@ def sign_pattern(n, i):
     return 1.0 - 2.0 * ((i >> np.arange(n - 1, -1, -1)) & 1)
 
 
-#: blocks of entries the jobs of a runner call must hold in all before
-#: they are spread over threads; fewer gained no time from a second
-#: thread and paid its memory
-_FAN_OUT = 4
+#: entries (rows of weights times the widest row) from which the jobs of
+#: a runner call spread over threads; fewer gained no time and paid memory
+_FAN_OUT = 1 << 20
 
 
 def _cpus():
@@ -256,21 +253,23 @@ class _Blocks:
     Each block holds at most SIGN_BLOCK entries of the widest array
     formed on it: the block of weights, W @ config, or the rows
     space.norm_rows forms from that (a subspace maps them into its
-    ambient space). The rows per block are a power of two, which splits a
-    sign table into equal blocks; a one-row tail joins the block before
-    it, since numpy hands a one-row product to gemv, which rounds
-    differently from gemm. Up to a few hundred coordinates the row norms
-    then equal those of the one-shot space.norm_rows(W @ config) bit for
-    bit; past that BLAS may round a block in another order. A block
-    multiplies as many whole tables, one per configuration of a stack, as
-    fit in it, else one configuration's rows; each configuration's
-    product is its own, so a stack gives the norms of its configurations
-    one by one, bit for bit within the same limit, but for a
-    SubspaceSpace of dimension 33 or more: its norm_rows multiplies a
-    whole block by the basis in one gemm, and BLAS may round a row apart
-    with the block's height at such inner dimensions (18 to 28 of 2,072
-    norms of a stack came out apart at dimensions 33 to 65, none at 5 and
-    16).
+    ambient space). At 2^16 entries a block's float64 arrays, over which
+    the row kernel makes several passes, fit a 2 MiB L2 cache. The rows
+    per block are a power of two, which splits a sign table into equal
+    blocks; a one-row tail joins the block before it, since numpy hands
+    a one-row product to gemv, which rounds differently from gemm. Up to
+    a few hundred coordinates the row norms then equal those of the
+    one-shot space.norm_rows(W @ config) bit for bit; past that BLAS may
+    round a block in another order. A block multiplies as many whole
+    tables, one per configuration of a stack, as fit in it, else one
+    configuration's rows; each configuration's product is its own, so a
+    stack gives the norms of its configurations one by one, bit for bit
+    within the same limit, but for a SubspaceSpace of dimension 33 or
+    more: its norm_rows multiplies a whole block by the basis in one
+    gemm, and BLAS may round a row apart with the block's height at such
+    inner dimensions (18 to 28 of 2,072 norms of a stack came out apart
+    at dimensions 33 to 65, none at 5 and 16). Within the same limits no
+    result depends on the block height.
 
     The plan holds the widest row formed, the rows per block, the
     configurations a block multiplies, the row-norm kernel and working
@@ -317,8 +316,8 @@ def _run_jobs(plan, jobs, reduce, m, prepare=_as_is, gather=0):
     the (configurations, rows) row norms of the rows of W @ plan.config[c:
     c + plan.per] that spans lists, in order, start the first of them, and
     fill writing each block of W (see _weight_fill). A job runs its spans
-    in order on one thread. Two or more jobs over m rows of weights in all
-    of at least _FAN_OUT blocks of entries run on _WORKERS threads, the
+    in order on one thread. Two or more jobs over m rows of weights that
+    form at least _FAN_OUT entries in all run on _WORKERS threads, the
     calling thread and a helper thread started for the call (see
     _fan_out), any others on the calling thread alone; each thread has
     its own working array, which prepare readies on the calling thread. A
@@ -330,7 +329,7 @@ def _run_jobs(plan, jobs, reduce, m, prepare=_as_is, gather=0):
     block it takes (blocks taken afresh went back to the operating system
     between uses and faulted their pages in again), and the space works
     in each product in place."""
-    fan_out = len(jobs) > 1 and m * plan.width >= _FAN_OUT * SIGN_BLOCK
+    fan_out = len(jobs) > 1 and m * plan.width >= _FAN_OUT
     works = []
     for _ in range(_WORKERS if fan_out else 1):
         buf, prod = plan.work()
@@ -500,7 +499,7 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     the kept (start, flip) pairs of a step, those of every map together:
     each flip is formed as -eps_j f_j + y, with -eps_j f_j a row of the
     signed flips +-f_j taken once, and goes through norm_rows in blocks
-    of `rows` rows, at most ASCENT_BLOCK entries. Every flip is kept but
+    of `rows` rows, at most SIGN_BLOCK entries. Every flip is kept but
     into a Euclidean codomain.
 
     Into a codomain with is_euclidean (a NormedSpace, which reads each
@@ -535,7 +534,7 @@ def _vertex_ascents(A, cod, budget, seeds, vt=None):
     for i, seed in enumerate(seeds):
         for j, s in enumerate(child_seeds(seed, E.shape[1] - 2), 2):
             E[i, j] = np.where(np.random.default_rng(s).random(N) < 0.5, -1.0, 1.0)
-    rows = max(1, ASCENT_BLOCK // max(n, cod.row_width))  # rows per block
+    rows = max(1, SIGN_BLOCK // max(n, cod.row_width))  # rows per block
 
     def norms(Y):
         """cod.norm_rows of a (k, starts, n) stack of images, in blocks."""
@@ -684,9 +683,9 @@ def _outward(upper, n, N):
 
 
 def _svd_norms(A, *_):
-    """Full svds, in chunks of maps whose factors hold at most ASCENT_BLOCK
+    """Full svds, in chunks of maps whose factors hold at most SIGN_BLOCK
     entries."""
-    step = max(1, ASCENT_BLOCK // max(A.shape[1:]) ** 2)
+    step = max(1, SIGN_BLOCK // max(A.shape[1:]) ** 2)
     return [(s[0], v[0].copy()) for i in range(0, len(A), step)
             for s, v in zip(*np.linalg.svd(A[i:i + step])[1:])]
 
@@ -722,7 +721,7 @@ def _searches(A, dom, cod, budget, seeds, vt=None):
     """(value, witness) of the sphere search of every map: starts e_1, ...,
     e_N, the all-ones vector and, out of an l_inf cube, the map's best
     vertex (vt as in _vertex_ascents). At budget 0 the starts of a chunk
-    of maps, at most about ASCENT_BLOCK entries of starts and images, are
+    of maps, at most about SIGN_BLOCK entries of starts and images, are
     scored at once."""
     N = dom.dim
     starts = np.concatenate([np.eye(N), np.ones((1, N))])
@@ -738,7 +737,7 @@ def _searches(A, dom, cod, budget, seeds, vt=None):
                                     budget=budget, seed=seed)
                 for i, (a, seed) in enumerate(zip(A, seeds))]
     S = len(starts_of(0))
-    step = max(1, ASCENT_BLOCK // (S * max(N, cod.row_width)))  # maps per chunk
+    step = max(1, SIGN_BLOCK // (S * max(N, cod.row_width)))  # maps per chunk
     out = []
     for i in range(0, len(A), step):
         X = np.array([starts_of(j) for j in range(i, min(i + step, len(A)))])

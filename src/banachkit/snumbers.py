@@ -8,14 +8,14 @@ lower bounds. No heuristic value is ever tagged exact.
 
 Weyl numbers are bracketed from below by a fixed set of contractions,
 scored as stacks of one width (see weyl_numbers). A stack holds at most
-linmaps.ASCENT_BLOCK entries, so memory does not grow with the budget.
+linmaps.SIGN_BLOCK entries, so memory does not grow with the budget.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linmaps import ASCENT_BLOCK, LinearMap, operator_norm, operator_norms
+from .linmaps import SIGN_BLOCK, LinearMap, operator_norm, operator_norms
 from .spaces import NormedSpace, lp
 
 __all__ = [
@@ -128,13 +128,13 @@ def _coordinate_frames(dim, n, count, seed):
     m the coordinate isometry of width m = 1, ..., dim - 1, and places
     dim, dim + 1, ... are `count` seeded random orthonormal frames.
 
-    A stack holds at most ASCENT_BLOCK entries of frames and of their
+    A stack holds at most SIGN_BLOCK entries of frames and of their
     images in an n-dimensional codomain. The random frames of a stack
     come from one gaussian draw and one stacked qr, the same numbers as a
     draw and a qr per frame. The identity leads the first stack of random
     frames, which share its width; each isometry is a stack of one.
     """
-    size = max(1, ASCENT_BLOCK // (dim * max(dim, n)))  # frames per stack
+    size = max(1, SIGN_BLOCK // (dim * max(dim, n)))  # frames per stack
     eye = np.eye(dim)
     rng = np.random.default_rng(seed)
     count = max(0, count)

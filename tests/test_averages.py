@@ -200,8 +200,9 @@ SAMPLERS = ((averages._draw_gaussians, lambda rng, shape: rng.standard_normal(sh
 
 @pytest.mark.parametrize("dim", [1, 7, 64, 128])
 def test_block_monte_carlo_equals_whole_chunks(dim):
-    # at 64 and 128 coordinates a block holds 4096 and 2048 rows, so 4097
-    # and 20_001 samples end in a one-row block and chunk; 1 is one row
+    # at 64 and 128 coordinates a block holds 1024 and 512 rows, so 4097
+    # samples end in a one-row block and 20_001 in a one-row chunk; 1 is
+    # one row
     rng = np.random.default_rng(80 + dim)
     spaces = [parse_space(f"{fam}:{dim}") for fam in ("lp:2", "lp:1", "lorentz:2:1",
                                                       "lorentz:2:inf", "gweak:pow:0.5")]
@@ -232,8 +233,8 @@ def test_averages_peak_at_a_few_blocks():
     # the whole-chunk draw formed 20_000 x 1024 products (164 MB)
     assert traced_peak(lambda: gaussian_average(wide, parse_space("lp:3:1024"),
                                                 samples=40_000)) <= bound
-    # the 2^19 patterns are 2^19 norms (4 MB) and one block; the table
-    # was 10 MB more
+    # the 2^19 patterns are summed block by block; their norms would be
+    # 4 MB, the table 10 MB more
     config = rng.standard_normal((20, 32))
     for moment in (1, 2):
         assert traced_peak(lambda: rademacher_average(config, parse_space("lp:3:32"),
@@ -273,7 +274,7 @@ def fan_out_space(name, dim, rng):
 
 @pytest.mark.parametrize("n, dim", [(16, 12), (16, 40), (16, 300), (20, 12)])
 def test_fanned_out_averages_equal_one_thread(monkeypatch, n, dim):
-    # every job of two blocks or more fans out; one thread sums the whole
+    # every call of two jobs or more fans out; one thread sums the whole
     # vector of norms, two sum blocks and add the sums pairwise
     monkeypatch.setattr(linmaps, "_FAN_OUT", 1)
     rng = np.random.default_rng(100 + n + dim)
@@ -297,8 +298,8 @@ def test_fanned_out_averages_equal_one_thread(monkeypatch, n, dim):
 
 @pytest.mark.parametrize("n, dim", [(16, 32), (20, 32), (16, 300), (9, 4096)])
 def test_streamed_enumeration_mean_is_the_mean_of_the_norms(monkeypatch, n, dim):
-    # blocks of 8192, 8192 and 512 rows are summed block by block, on one
-    # thread as on two; those of 64 rows at 4096 coordinates are too
+    # blocks of 2048, 2048 and 128 rows are summed block by block, on one
+    # thread as on two; those of 16 rows at 4096 coordinates are too
     # short, and the norms are kept
     rng = np.random.default_rng(110 + n)
     sp = parse_space(f"lorentz:2:1:{dim}")

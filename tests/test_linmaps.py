@@ -6,8 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, identity_map,
-                       lorentz, lp, operator_norm, parse_space, rademacher_average,
+from banachkit import (LinearMap, NormedSpace, SubspaceSpace, dual_norm, gaussian_average,
+                       identity_map, lorentz, lp, operator_norm, parse_space, rademacher_average,
                        weak_lq_functional)
 from banachkit import linmaps
 from banachkit.linmaps import (SIGN_BLOCK, _chunk_norms, _sign_max, _sign_sum, operator_norms,
@@ -79,11 +79,9 @@ def test_sign_norms_match_the_one_shot_product(family):
     sp = parse_space(f"{family}:{dim}")
     rng = np.random.default_rng(21)
     config = rng.standard_normal((15, dim))
-    # blocks of the largest power-of-two row count within SIGN_BLOCK
-    # entries: three full blocks and a partial fourth
-    rows = 1 << ((SIGN_BLOCK // dim).bit_length() - 1)
-    signs = sign_patterns(15)[:13_000]
-    assert 3 * rows < signs.shape[0] < 4 * rows
+    # three full blocks and a partial fourth
+    rows = linmaps._block_rows(linmaps._width(15, dim, sp))
+    signs = sign_patterns(15)[:3 * rows + rows // 2]
     tau = rng.uniform(0.1, 2.0, 15)
     for table in (signs, signs * tau):
         # a table of a length not a power of two sums each norm in its place
@@ -125,12 +123,14 @@ def test_subspace_sign_average_memory_stays_bounded():
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("k, n, dim", [(5, 3, 4), (9, 6, 40), (40, 8, 300), (3, 10, 512)])
+@pytest.mark.parametrize("k, n, dim", [(5, 3, 4), (9, 6, 40), (40, 6, 300), (40, 8, 300),
+                                       (3, 10, 512)])
 def test_stacked_sign_norms_equal_the_one_config_ones(k, n, dim):
-    # (40, 8, 300): ten blocks of four tables; (3, 10, 512): one table of
-    # 512 rows fills a whole block alone. A subspace multiplies its rows
-    # by the basis, a product over all dim coordinates, which BLAS may
-    # round another way in a taller block past a few hundred of them
+    # (40, 6, 300): ten blocks of four tables; (40, 8, 300): each table of
+    # 128 rows fills a whole block alone; (3, 10, 512): each table spans
+    # four blocks. A subspace multiplies its rows by the basis, a product
+    # over all dim coordinates, which BLAS may round another way in a
+    # taller block past a few hundred of them
     rng = np.random.default_rng(k + n)
     stack = rng.standard_normal((k, n, dim))
     table = sign_patterns(n)
@@ -169,7 +169,7 @@ def test_stacked_sign_norms_memory_stays_bounded():
 
 def test_empty_stacks_give_empty_norms_and_maxima():
     # a (0, n, dim) stack runs no job: a one-block table, a streamed one
-    # (2^15 patterns in 512-row blocks) and a scaled one alike
+    # (2^15 patterns in 128-row blocks) and a scaled one alike
     for n, dim, name in ((5, 4, "lp:3:4"), (16, 300, "lp:3:300"), (5, 4, "lorentz:2:1:4")):
         sp = parse_space(name)
         empty = np.empty((0, n, dim))
@@ -344,8 +344,8 @@ FAN_OUT_SPACES = ("lp:3", "lorentz:3:2", "gweak:pow:0.5", "subspace")
 @pytest.mark.parametrize("n, dim", [(16, 12), (16, 40), (16, 300), (20, 12), (20, 40),
                                     (20, 300)])
 def test_fanned_out_sign_norms_equal_one_thread(monkeypatch, n, dim):
-    # every job of two blocks or more fans out: n = 16 at 12 coordinates
-    # is 2 blocks of 16384 rows, at 300 coordinates 64 blocks of 512
+    # every call of two jobs or more fans out: n = 16 at 12 coordinates
+    # is 8 blocks of 4096 rows, at 300 coordinates 256 blocks of 128
     monkeypatch.setattr(linmaps, "_FAN_OUT", 1)
     rng = np.random.default_rng(90 + n + dim)
     # scaled tables at 12 coordinates only, and at n = 20 and 300
@@ -378,13 +378,75 @@ def test_scaled_patterns_equal_the_weighted_table():
                 assert np.asarray(mean).tobytes() == want.mean(axis=-1).tobytes()
 
 
+BLOCK_FAMILIES = ("lp:1", "lp:1.5", "lp:2", "lp:3", "lp:inf", "lorentz:2:1", "lorentz:3:2",
+                  "lorentz:2:inf", "gweak:pow:0.5")
+
+
+def estimate_bytes(est):
+    witness = est.witness.tobytes() if isinstance(est.witness, np.ndarray) else est.witness
+    return est.value, est.direction, est.meta, witness
+
+
+@pytest.mark.parametrize("family", BLOCK_FAMILIES)
+def test_results_do_not_depend_on_the_block_height(monkeypatch, family):
+    # each block keeps its rows, a NormedSpace reads each row alone and
+    # power-of-two blocks are whole subtrees of numpy's pairwise sum, so
+    # every block height gives the same bytes (a SubspaceSpace of
+    # dimension 33 or more is the exception, see _Blocks)
+    rng = np.random.default_rng(120)
+    cases = [(n, rng.standard_normal((3, n, dim)), rng.uniform(0.1, 2.0, n))
+             for n, dim in ((12, 8), (15, 40), (14, 128))]
+    config = rng.standard_normal((16, 40))
+    maps = rng.standard_normal((3, 6, 24))
+    dom, cod = parse_space("lp:inf:24"), parse_space(f"{family}:6")
+    got = {}
+    for block in (1 << 14, 1 << 16, 1 << 18):
+        monkeypatch.setattr(linmaps, "SIGN_BLOCK", block)
+        out = []
+        for n, stack, tau in cases:
+            sp = parse_space(f"{family}:{stack.shape[2]}")
+            shared = sign_weights(n, stack.shape[2], sp, tau)
+            for signs, scale in ((n, None), (n, tau), shared):
+                for x in (stack, stack[0]):
+                    out += [*_sign_max(signs, x, sp, scale=scale),
+                            _sign_sum(signs, x, sp, np.abs, scale=scale)]
+        sp = parse_space(f"{family}:40")
+        out += [f(config, sp, moment=moment, samples=45_000, seed=3, **kwargs).value
+                for f, kwargs in ((gaussian_average, {}), (rademacher_average, {"enum_cap": 0}))
+                for moment in (1, 2)]
+        got[block] = [np.asarray(v).tobytes() for v in out]
+        got[block] += [estimate_bytes(est) for budget in (0, 8)
+                       for est in operator_norms(maps, dom, cod, budget, seeds=range(3))]
+    assert got[1 << 14] == got[1 << 16] == got[1 << 18]
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 18])
+def test_the_thread_decision_counts_entries(monkeypatch, block):
+    # 2^15 sign rows times 32 coordinates are 2^20 entries, which fan
+    # out; times 16 they are 2^19, which do not, whatever the block height
+    monkeypatch.setattr(linmaps, "SIGN_BLOCK", block)
+    monkeypatch.setattr(linmaps, "_WORKERS", 2)
+    threads = []
+    fan_out = linmaps._fan_out
+
+    def counted(job, count, scratch):
+        threads.append(len(scratch))
+        return fan_out(job, count, scratch)
+
+    monkeypatch.setattr(linmaps, "_fan_out", counted)
+    rng = np.random.default_rng(121)
+    for dim in (32, 16):
+        _sign_sum(16, rng.standard_normal((16, dim)), parse_space(f"lp:3:{dim}"), np.abs)
+    assert threads == [2, 1]
+
+
 class ThreadFailure(RuntimeError):
     pass
 
 
 def test_an_error_on_either_thread_is_raised_and_the_next_call_recovers(monkeypatch):
     sp = parse_space("lp:3:32")
-    config = np.random.default_rng(96).standard_normal((16, 32))  # 4 blocks
+    config = np.random.default_rng(96).standard_normal((16, 32))  # 16 blocks
     kernel = NormedSpace._row_kernel
     main = threading.get_ident()
     took = {"caller": threading.Event(), "helper": threading.Event()}
@@ -433,22 +495,23 @@ def test_an_error_on_either_thread_is_raised_and_the_next_call_recovers(monkeypa
 
 
 def test_weight_tables_join_a_one_row_tail_to_the_block_before():
-    # 4097 rows at 4096 rows per block: one block of 4097, never a one-row
+    # one row more than a block: one block of them all, never a one-row
     # product, which numpy hands to gemv
     sp = parse_space("lp:3:64")
     rng = np.random.default_rng(70)
     config = rng.standard_normal((10, 64))
-    table = rng.standard_normal((4097, 10))
+    m = linmaps._block_rows(64) + 1
+    table = rng.standard_normal((m, 10))
     calls = []
 
     def draw(block):
         block[...] = table[sum(calls):sum(calls) + len(block)]
         calls.append(len(block))
 
-    drawn = _chunk_norms([draw], [4097], config, sp, np.copy)[0]
-    assert calls == [4097]
+    drawn = _chunk_norms([draw], [m], config, sp, np.copy)[0]
+    assert calls == [m]
     assert drawn.tobytes() == sp.norm_rows(table @ config).tobytes()
-    # the table's own blocks are the same: one sum of all 4097 norms
+    # the table's own blocks are the same: one sum of all m norms
     assert _sign_sum(table, config, sp, np.abs) == np.sum(drawn)
     assert same_max(_sign_max(table, config, sp), first_max(drawn))
 
@@ -933,7 +996,7 @@ def test_stacked_vertex_ascent_memory_stays_bounded(k, N, cod, budget):
     finally:
         tracemalloc.stop()
     assert [est.meta["route"] for est in got] == ["vertex-ascent"] * k
-    assert max(blocks) <= linmaps.ASCENT_BLOCK
+    assert max(blocks) <= SIGN_BLOCK
     # the bound of test_vertex_ascent_memory_stays_bounded
     assert peak < 64 * 2**20
 
